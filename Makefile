@@ -25,15 +25,24 @@ SHELL := /bin/bash
 CHAOS_SEED ?= 1
 CHAOS_ROUNDS ?= 8
 
-.PHONY: verify fmt vet build test race race-all chaos fuzz fuzz-smoke bench alloc-gate metrics-gate
+.PHONY: verify fmt vet build test race race-all chaos fuzz fuzz-smoke bench alloc-gate metrics-gate layout-lint
 
-verify: fmt vet build test race
+verify: fmt vet layout-lint build test race
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
+
+# Fail if a memory-layout branch grows back in kvserver: outside the layout
+# implementations (memlayout.go), code reaches the byte/slab/buddy/arena
+# layouts only through the memLayout interface and its capability bits.
+layout-lint:
+	@files="$$(ls internal/kvserver/*.go | grep -v -e '_test\.go$$' -e '/memlayout\.go$$')"; \
+	if grep -nE 'st\.(slab|buddy|arena) (!=|==) nil|cfg\.Mode (==|!=)|arenaMode' $$files; then \
+		echo "layout-lint: memory-layout branches outside internal/kvserver/memlayout.go"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

@@ -118,6 +118,16 @@ func TestSIGTERMGracefulExitCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// One round trip first: the drain covers connections the server has
+	// accepted, and a SIGTERM racing the accept would reset this one.
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write([]byte("version\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION") {
+		t.Fatalf("reply before SIGTERM = %q, %v; want VERSION", line, err)
+	}
 	var pipe strings.Builder
 	for i := 0; i < 200; i++ {
 		fmt.Fprintf(&pipe, "set sig:%03d 0 0 3 noreply\r\nv%02d\r\n", i, i%100)
@@ -131,7 +141,7 @@ func TestSIGTERMGracefulExitCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
+	line, err := br.ReadString('\n')
 	if err != nil || !strings.HasPrefix(line, "VERSION") {
 		t.Fatalf("reply after SIGTERM = %q, %v; want VERSION", line, err)
 	}

@@ -28,11 +28,16 @@ import (
 // Ref identifies one record in an Arena: the segment it lives in and the
 // byte offset of its header. The zero Ref is indistinguishable from "first
 // record of segment 0", so holders must track validity themselves (the
-// kvserver item does: an item exists only while its record does).
-type Ref struct {
-	seg uint32
-	off uint32
-}
+// kvserver item does: an item exists only while its record does). It packs
+// the segment into the high 32 bits and the offset into the low 32, so a
+// caller can keep it in one word.
+type Ref uint64
+
+func makeRef(seg uint32, off int) Ref { return Ref(uint64(seg)<<32 | uint64(uint32(off))) }
+
+func (r Ref) seg() uint32 { return uint32(r >> 32) }
+
+func (r Ref) off() uint32 { return uint32(r) }
 
 // recHeaderFixed is the fixed tail of a record header: 4 flag bytes plus 8
 // expiry bytes (unix nanoseconds, 0 = no expiry).
@@ -161,12 +166,12 @@ func appendIn[K ~string | ~[]byte](a *Arena, key K, value []byte, flags uint32, 
 	}
 	id, seg := a.tail(n, false)
 	if seg == nil {
-		return Ref{}, ErrNoMemory
+		return 0, ErrNoMemory
 	}
 	off := len(seg.buf)
 	seg.buf = appendRecord(seg.buf, key, value, flags, expNano)
 	a.live += n
-	return Ref{seg: id, off: uint32(off)}, nil
+	return makeRef(id, off), nil
 }
 
 // appendOversize places one record larger than segSize in a dedicated
@@ -177,14 +182,14 @@ func appendOversize[K ~string | ~[]byte](a *Arena, key K, value []byte, flags ui
 		a.dropFreeSeg()
 	}
 	if a.held+n > a.capacity {
-		return Ref{}, ErrNoMemory
+		return 0, ErrNoMemory
 	}
 	seg := &aseg{buf: make([]byte, 0, n), sealed: true, oversize: true}
 	id := a.installSeg(seg)
 	a.held += n
 	seg.buf = appendRecord(seg.buf, key, value, flags, expNano)
 	a.live += n
-	return Ref{seg: id, off: 0}, nil
+	return makeRef(id, 0), nil
 }
 
 // dropFreeSeg releases one recycled segment's buffer back to the heap,
@@ -266,9 +271,9 @@ func (a *Arena) maybeQueue(id uint32, seg *aseg) {
 // Release marks the record at ref dead. Oversize segments whose record died
 // are dropped immediately; normal segments wait for the compactor.
 func (a *Arena) Release(ref Ref) {
-	seg := a.segs[ref.seg]
-	_, _, _, _, n := decodeRecord(seg.buf[ref.off:])
-	a.markDead(ref.seg, seg, n)
+	seg := a.segs[ref.seg()]
+	_, _, _, _, n := decodeRecord(seg.buf[ref.off():])
+	a.markDead(ref.seg(), seg, n)
 }
 
 func (a *Arena) markDead(id uint32, seg *aseg, n int64) {
@@ -291,21 +296,21 @@ func (a *Arena) markDead(id uint32, seg *aseg, n int64) {
 // slice is invalidated by compaction, so callers must copy (or finish using
 // it) before releasing the lock that serializes arena access.
 func (a *Arena) Value(ref Ref) []byte {
-	_, v, _, _, _ := decodeRecord(a.segs[ref.seg].buf[ref.off:])
+	_, v, _, _, _ := decodeRecord(a.segs[ref.seg()].buf[ref.off():])
 	return v
 }
 
 // Record returns the full decoded record at ref; the slices alias the
 // segment buffer (see Value).
 func (a *Arena) Record(ref Ref) (key, value []byte, flags uint32, expNano int64) {
-	key, value, flags, expNano, _ = decodeRecord(a.segs[ref.seg].buf[ref.off:])
+	key, value, flags, expNano, _ = decodeRecord(a.segs[ref.seg()].buf[ref.off():])
 	return key, value, flags, expNano
 }
 
 // TouchExpiry rewrites the record's expiry field in place — the one header
 // mutation the format allows, so touch never reallocates the record.
 func (a *Arena) TouchExpiry(ref Ref, expNano int64) {
-	b := a.segs[ref.seg].buf[ref.off:]
+	b := a.segs[ref.seg()].buf[ref.off():]
 	_, n1 := binary.Uvarint(b)
 	_, n2 := binary.Uvarint(b[n1:])
 	binary.LittleEndian.PutUint64(b[n1+n2+4:], uint64(expNano))
@@ -332,13 +337,13 @@ func (a *Arena) CompactStep(maxBytes int64, alive func(key []byte, ref Ref) bool
 		key, value, flags, expNano, n := decodeRecord(seg.buf[off:])
 		a.cursor += n
 		scanned += n
-		if !alive(key, Ref{seg: id, off: uint32(off)}) {
+		if !alive(key, makeRef(id, int(off))) {
 			continue // already marked dead by its release/overwrite
 		}
 		dstID, dst := a.tail(recordSize(len(key), len(value)), true)
 		noff := len(dst.buf)
 		dst.buf = appendRecord(dst.buf, key, value, flags, expNano)
-		moved(key, Ref{seg: dstID, off: uint32(noff)})
+		moved(key, makeRef(dstID, noff))
 		// The new copy is the live one; the original joins the dead bytes
 		// so the recycle below accounts for every byte in the segment.
 		seg.dead += n

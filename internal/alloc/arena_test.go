@@ -78,7 +78,7 @@ func (m *arenaModel) check() {
 	m.t.Helper()
 	var live int64
 	for k, ref := range m.refs {
-		key, value, flags, exp, _ := decodeRecord(m.a.segs[ref.seg].buf[ref.off:])
+		key, value, flags, exp, _ := decodeRecord(m.a.segs[ref.seg()].buf[ref.off():])
 		if string(key) != k {
 			m.t.Fatalf("ref for %q decodes key %q", k, key)
 		}

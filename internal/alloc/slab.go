@@ -26,15 +26,28 @@ var ErrNoMemory = errors.New("alloc: out of memory")
 // ErrTooLarge is returned when a request exceeds the largest chunk size.
 var ErrTooLarge = errors.New("alloc: item larger than largest slab class")
 
-// Handle identifies an allocated chunk.
-type Handle struct {
-	class int
-	slab  int
-	chunk int
+// Handle identifies an allocated chunk. It is packed into one word so a
+// caller can keep it in the same field as other layouts' locations: the
+// class in the low handleClassBits, then the slab index, then the chunk
+// index. NewSlabAllocator refuses geometries whose indexes would not fit.
+type Handle uint64
+
+const (
+	handleClassBits = 16
+	handleSlabBits  = 24
+	handleChunkBits = 64 - handleClassBits - handleSlabBits
+)
+
+func makeHandle(class, slab, chunk int) Handle {
+	return Handle(uint64(class) | uint64(slab)<<handleClassBits | uint64(chunk)<<(handleClassBits+handleSlabBits))
 }
 
 // Class returns the slab class of the allocation.
-func (h Handle) Class() int { return h.class }
+func (h Handle) Class() int { return int(h & (1<<handleClassBits - 1)) }
+
+func (h Handle) slabIndex() int { return int(h >> handleClassBits & (1<<handleSlabBits - 1)) }
+
+func (h Handle) chunkIndex() int { return int(h >> (handleClassBits + handleSlabBits)) }
 
 // SlabAllocator implements Twemcache's memory layout: memory is carved into
 // fixed-size slabs, each permanently assigned to a class that subdivides it
@@ -126,6 +139,9 @@ func NewSlabAllocator(totalMem int64, opts ...SlabOption) (*SlabAllocator, error
 		sz = next
 	}
 	sizes = append(sizes, cfg.slabSize) // largest class: one chunk per slab
+	if len(sizes) > 1<<handleClassBits || maxSlabs > 1<<handleSlabBits || cfg.slabSize/cfg.minChunk > 1<<handleChunkBits {
+		return nil, fmt.Errorf("alloc: %d classes, %d slabs of %d chunks overflow a handle", len(sizes), maxSlabs, cfg.slabSize/cfg.minChunk)
+	}
 	return &SlabAllocator{
 		slabSize:   cfg.slabSize,
 		maxSlabs:   maxSlabs,
@@ -165,7 +181,7 @@ func (a *SlabAllocator) ClassFor(size int64) (int, error) {
 func (a *SlabAllocator) Alloc(owner string, size int64) (Handle, error) {
 	class, err := a.ClassFor(size)
 	if err != nil {
-		return Handle{}, err
+		return 0, err
 	}
 	cs := &a.classes[class]
 	// Step 2 (step 1, expired replacement, is the server's business):
@@ -173,7 +189,7 @@ func (a *SlabAllocator) Alloc(owner string, size int64) (Handle, error) {
 	if n := len(cs.free); n > 0 {
 		h := cs.free[n-1]
 		cs.free = cs.free[:n-1]
-		a.slabs[h.slab].owners[h.chunk] = owner
+		a.slabs[h.slabIndex()].owners[h.chunkIndex()] = owner
 		return h, nil
 	}
 	// Step 3: allocate a new slab for this class.
@@ -183,34 +199,34 @@ func (a *SlabAllocator) Alloc(owner string, size int64) (Handle, error) {
 		cs.slabIDs = append(cs.slabIDs, id)
 		chunks := int(a.slabSize / a.chunkSizes[class])
 		for c := chunks - 1; c >= 1; c-- {
-			cs.free = append(cs.free, Handle{class: class, slab: id, chunk: c})
+			cs.free = append(cs.free, makeHandle(class, id, c))
 		}
 		a.slabs[id].owners[0] = owner
-		return Handle{class: class, slab: id, chunk: 0}, nil
+		return makeHandle(class, id, 0), nil
 	}
 	// Step 4 is an eviction decision: out of scope for the allocator.
-	return Handle{}, ErrNoMemory
+	return 0, ErrNoMemory
 }
 
 // Free releases a chunk back to its class's free list.
 func (a *SlabAllocator) Free(h Handle) {
-	if h.slab < 0 || h.slab >= len(a.slabs) {
+	if h.slabIndex() >= len(a.slabs) {
 		panic("alloc: Free of invalid handle")
 	}
-	s := a.slabs[h.slab]
-	if _, ok := s.owners[h.chunk]; !ok {
+	s := a.slabs[h.slabIndex()]
+	if _, ok := s.owners[h.chunkIndex()]; !ok {
 		panic("alloc: double free")
 	}
-	delete(s.owners, h.chunk)
-	a.classes[s.class].free = append(a.classes[s.class].free, Handle{class: s.class, slab: h.slab, chunk: h.chunk})
+	delete(s.owners, h.chunkIndex())
+	a.classes[s.class].free = append(a.classes[s.class].free, makeHandle(s.class, h.slabIndex(), h.chunkIndex()))
 }
 
 // Owner returns the owner tag of an allocated chunk.
 func (a *SlabAllocator) Owner(h Handle) (string, bool) {
-	if h.slab < 0 || h.slab >= len(a.slabs) {
+	if h.slabIndex() >= len(a.slabs) {
 		return "", false
 	}
-	o, ok := a.slabs[h.slab].owners[h.chunk]
+	o, ok := a.slabs[h.slabIndex()].owners[h.chunkIndex()]
 	return o, ok
 }
 
@@ -246,7 +262,7 @@ func (a *SlabAllocator) ReassignRandomSlab(toClass int) ([]string, bool) {
 	old := &a.classes[victim.class]
 	keptFree := old.free[:0]
 	for _, h := range old.free {
-		if h.slab != victim.id {
+		if h.slabIndex() != victim.id {
 			keptFree = append(keptFree, h)
 		}
 	}
@@ -265,7 +281,7 @@ func (a *SlabAllocator) ReassignRandomSlab(toClass int) ([]string, bool) {
 	cs.slabIDs = append(cs.slabIDs, victim.id)
 	chunks := int(a.slabSize / a.chunkSizes[toClass])
 	for c := chunks - 1; c >= 0; c-- {
-		cs.free = append(cs.free, Handle{class: toClass, slab: victim.id, chunk: c})
+		cs.free = append(cs.free, makeHandle(toClass, victim.id, c))
 	}
 	return evicted, true
 }

@@ -252,3 +252,24 @@ func TestSlabChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabHandleRange pins the check that keeps Handle's packed fields from
+// overflowing: a geometry with more classes than the class field holds is
+// refused up front.
+func TestSlabHandleRange(t *testing.T) {
+	if _, err := NewSlabAllocator(1<<20, WithMinChunk(1), WithGrowFactor(1.00001)); err == nil {
+		t.Fatal("a geometry with more than 1<<16 classes must be refused")
+	}
+	a, err := NewSlabAllocator(4<<20, WithSlabSize(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := a.NumClasses() - 1
+	h, err := a.Alloc("k", a.ChunkSize(last))
+	if err != nil || h.Class() != last {
+		t.Fatalf("Alloc = %v (class %d), %v; want class %d", h, h.Class(), err, last)
+	}
+	if owner, ok := a.Owner(h); !ok || owner != "k" {
+		t.Fatalf("Owner = %q, %v", owner, ok)
+	}
+}

@@ -31,8 +31,9 @@ var ErrTooLarge = errors.New("cache: item larger than capacity")
 
 // Policy is an online eviction policy managing a fixed budget of bytes.
 //
-// Implementations are not safe for concurrent use; wrap them in a Sharded or
-// guard them with a mutex (the root camp package does this).
+// Implementations are not safe for concurrent use; guard each with a mutex,
+// as the root camp package and the kvserver shards do, one policy per
+// partition (§4.1).
 type Policy interface {
 	// Name returns a short identifier such as "lru" or "camp".
 	Name() string

@@ -30,8 +30,8 @@ const DefaultPrecision uint = 5
 // integerized ratios (the "∞" curve in Figure 5a).
 const PrecisionInf = rounding.PrecisionInf
 
-// Camp is the CAMP eviction policy. It is not safe for concurrent use; wrap
-// it (see cache.Sharded or the root camp package) for multi-threaded access.
+// Camp is the CAMP eviction policy. It is not safe for concurrent use; guard
+// it with a mutex (as the root camp package does) for multi-threaded access.
 type Camp struct {
 	capacity  int64
 	used      int64

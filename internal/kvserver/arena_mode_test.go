@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"camp/internal/kvclient"
 	"camp/internal/persist"
@@ -314,41 +315,46 @@ func assertUsedTotals(t *testing.T, s *Server) {
 }
 
 // TestNegativeExptimeExpiresImmediately is the regression test for the
-// immortal-item bug: memcached treats a negative exptime as "already
-// expired", but expiryFrom used to collapse every ttl <= 0 into "no expiry",
-// so "set ... -1" stored a key that never died. Pinned across modes and for
-// touch, which shared the mapping.
+// immortal-item bugs, pinned on every layout and for touch, which shares the
+// exptime mapping: memcached treats a negative exptime as "already expired"
+// (expiryFrom used to collapse every ttl <= 0 into "no expiry"), and an
+// exptime over 30 days as an absolute Unix time (expiryFrom used to add it
+// as a TTL, so a past time served hits for decades, and a far one overflowed
+// time.Duration into the past and missed at once).
 func TestNegativeExptimeExpiresImmediately(t *testing.T) {
-	for _, mode := range []string{ModeByte, ModeArena} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := arenaCfg(1 << 20)
-			cfg.Mode = mode
-			s := startServer(t, cfg)
-			c := dial(t, s)
-
-			// A negative exptime stores STORED (memcached semantics) but the
-			// item must never be readable.
-			if err := c.Set("doomed", []byte("x"), 0, -1, 1); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, _ := c.Get("doomed"); ok {
-				t.Fatal("set with exptime -1 produced a readable item")
-			}
-
-			// Zero still means immortal.
-			if err := c.Set("kept", []byte("y"), 0, 0, 1); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, _ := c.Get("kept"); !ok {
-				t.Fatal("set with exptime 0 must stay resident")
-			}
-
-			// touch <key> -1 invalidates a live item.
-			if touched, err := c.Touch("kept", -1); err != nil || !touched {
-				t.Fatalf("Touch(-1) = %v, %v", touched, err)
-			}
-			if _, ok, _ := c.Get("kept"); ok {
-				t.Fatal("touch with exptime -1 left the item readable")
+	now := time.Now().Unix()
+	cases := []struct {
+		name    string
+		exptime int64
+		live    bool
+	}{
+		{"negative", -1, false},
+		{"zero", 0, true},
+		{"absolute-past", now - 3600, false},
+		{"absolute-future", now + 3600, true},
+		{"absolute-overflow", 1099511627776, true},
+	}
+	for _, cfg := range layoutConfigs(1 << 21) {
+		t.Run(cfg.Mode, func(t *testing.T) {
+			c := dial(t, startServer(t, cfg))
+			for _, tc := range cases {
+				key := "set-" + tc.name
+				if err := c.Set(key, []byte("x"), 0, tc.exptime, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, _ := c.Get(key); ok != tc.live {
+					t.Errorf("set exptime %d (%s): hit = %v, want %v", tc.exptime, tc.name, ok, tc.live)
+				}
+				key = "touch-" + tc.name
+				if err := c.Set(key, []byte("y"), 0, 0, 1); err != nil {
+					t.Fatal(err)
+				}
+				if touched, err := c.Touch(key, tc.exptime); err != nil || !touched {
+					t.Fatalf("Touch(%d) = %v, %v", tc.exptime, touched, err)
+				}
+				if _, ok, _ := c.Get(key); ok != tc.live {
+					t.Errorf("touch exptime %d (%s): hit = %v, want %v", tc.exptime, tc.name, ok, tc.live)
+				}
 			}
 		})
 	}

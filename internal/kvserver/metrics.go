@@ -137,12 +137,12 @@ func (s *Server) handleStatsShards(cs *connState) error {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		items := sh.store.len()
-		bytes := sh.store.used()
+		bytes := sh.store.usedAll()
 		evictions := sh.store.evictions()
 		rejected := sh.store.rejected()
 		reclaimed := sh.store.reclaimed()
 		missTable := len(sh.missedAt)
-		as := sh.store.arenaStats()
+		as := arenaStats(sh.store.layout)
 		sh.mu.Unlock()
 		lat := sh.latHist.Snapshot()
 		lock := sh.lockHist.Snapshot()
@@ -157,7 +157,7 @@ func (s *Server) handleStatsShards(cs *connState) error {
 		out = appendStat(out, prefix+"p99_us", uint64(lat.Quantile(0.99).Microseconds()))
 		out = appendStat(out, prefix+"lock_holds", lock.Count)
 		out = appendStat(out, prefix+"lock_p99_us", uint64(lock.Quantile(0.99).Microseconds()))
-		if s.arenaMode {
+		if s.caps.relocates {
 			out = appendStatInt(out, prefix+"arena_live_bytes", as.LiveBytes)
 			out = appendStatInt(out, prefix+"arena_dead_bytes", as.DeadBytes)
 			out = appendStatInt(out, prefix+"arena_held_bytes", as.HeldBytes)
@@ -342,7 +342,7 @@ func (s *Server) buildRegistry() {
 	shardGauge("camp_shard_items", "Live items per shard.", metrics.TypeGauge,
 		func(sh *shard) float64 { return float64(sh.store.len()) })
 	shardGauge("camp_shard_bytes", "Bytes charged per shard.", metrics.TypeGauge,
-		func(sh *shard) float64 { return float64(sh.store.used()) })
+		func(sh *shard) float64 { return float64(sh.store.usedAll()) })
 	shardGauge("camp_shard_evictions_total", "Policy evictions per shard.", metrics.TypeCounter,
 		func(sh *shard) float64 { return float64(sh.store.evictions()) })
 	shardGauge("camp_shard_rejected_sets_total", "Sets refused by the eviction policy per shard.", metrics.TypeCounter,
@@ -356,12 +356,12 @@ func (s *Server) buildRegistry() {
 	// convention); they carry samples only in arena mode.
 	arenaGauge := func(name, help, typ string, get func(as alloc.ArenaStats) float64) {
 		r.Register(name, help, typ, func(tw *metrics.TextWriter) {
-			if !s.arenaMode {
+			if !s.caps.relocates {
 				return
 			}
 			for i, sh := range s.shards {
 				sh.mu.Lock()
-				v := get(sh.store.arenaStats())
+				v := get(arenaStats(sh.store.layout))
 				sh.mu.Unlock()
 				tw.Sample("", v, "shard", labels[i])
 			}

@@ -31,9 +31,9 @@ func captureState(s *Server) map[string]expectedItem {
 				continue
 			}
 			out[key] = expectedItem{
-				value:   string(sh.store.itemValue(it)),
+				value:   string(sh.store.layout.value(it)),
 				flags:   it.flags,
-				expires: persist.ExpiresFrom(it.expiresAt),
+				expires: it.deadline,
 				cost:    meta.Cost,
 			}
 		}
@@ -358,7 +358,7 @@ func TestArithPreservesExpiry(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: counter missing", when)
 		}
-		if it.expiresAt.IsZero() {
+		if it.deadline == 0 {
 			t.Fatalf("%s: incr cleared the expiration", when)
 		}
 		if it.flags != 9 {

@@ -21,14 +21,18 @@
 // time in microseconds becomes the key's cost — exactly how the paper's IQ
 // framework derives recomputation costs from iqget/iqset pairs.
 //
-// Memory management is pluggable per §5: "byte" charges exact sizes to the
-// eviction policy; "slab" reproduces Twemcache's slab classes with per-class
-// LRU and random slab eviction; "buddy" rounds sizes to power-of-two blocks
-// in a buddy arena with the configured policy choosing victims; "arena"
-// packs keys and values into log-structured per-shard segments reclaimed by
-// incremental compaction (Memshare-style), driven by the same policies —
-// its set path reuses pooled scratch end to end, so steady-state overwrites
-// make no per-item heap allocations at all.
+// Memory management is pluggable per §5, behind one interface (memLayout,
+// memlayout.go) that the store calls without ever testing the mode: "byte"
+// charges exact sizes to the eviction policy; "slab" reproduces Twemcache's
+// slab classes with per-class LRU and random slab eviction; "buddy" rounds
+// sizes to power-of-two blocks in a buddy arena with the configured policy
+// choosing victims; "arena" packs keys and values into log-structured
+// per-shard segments reclaimed by incremental compaction (Memshare-style),
+// driven by the same policies. Each layout runs its own pressure loop when a
+// value does not fit, and exposes only two capabilities: tenancy (byte and
+// arena host per-tenant policies) and relocates (arena moves value bytes, so
+// readers copy under the shard lock, and its set path reuses pooled scratch
+// end to end — steady-state overwrites make no per-item heap allocations).
 //
 // The server is sharded for vertical scaling, the §4.1 recipe: keys hash
 // across Config.Shards independent shards, each owning its own store,
@@ -52,6 +56,7 @@ package kvserver
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -104,8 +109,8 @@ type Config struct {
 	Policy string
 	// Precision is CAMP's rounding precision (default 5).
 	Precision uint
-	// Mode selects memory management: ModeByte (default), ModeSlab or
-	// ModeBuddy.
+	// Mode selects memory management: ModeByte (default), ModeSlab,
+	// ModeBuddy or ModeArena.
 	Mode string
 	// SlabSize overrides the slab size in slab mode (default 1 MiB).
 	SlabSize int64
@@ -148,7 +153,7 @@ type Config struct {
 	// count must match the primary's. The replica serves reads (and rejects
 	// mutations) while replicating; "replica promote" makes it the primary.
 	ReplicaOf string
-	// TenantReserves maps tenant names to reserved bytes (byte mode only).
+	// TenantReserves maps tenant names to reserved bytes (byte or arena mode).
 	// A tenant holding no more than its reserve is never evicted by another
 	// tenant's churn; unreserved capacity is a shared pool arbitrated by
 	// marginal eviction priority. Reserves must sum to at most MemoryBytes.
@@ -169,7 +174,7 @@ type Config struct {
 	// (disconnect/CONTINUE resume works unchanged). FULLSYNC bootstraps ship
 	// only the subset's entries plus their KindTenant/KindScale records, and
 	// promoting a filtered replica serves only its subset. "default" names
-	// the bare namespace. Byte mode only.
+	// the bare namespace. Byte or arena mode only.
 	ReplicaTenants []string
 
 	// tenants and shardSlot are threaded through the per-shard Config
@@ -239,9 +244,9 @@ type Server struct {
 	// tenant always exists.
 	tenants *tenantRegistry
 
-	// arenaMode caches cfg.Mode == ModeArena for the hot-path branches that
-	// must route reads/writes through the packed arena.
-	arenaMode bool
+	// caps are the memory layout's capabilities (memlayout.go), the only
+	// layout facts the request path may branch on.
+	caps layoutCaps
 
 	// Instrumentation: per-verb histograms, slowlog and the Prometheus
 	// registry (metrics.go); started anchors the uptime stat; metricsLn and
@@ -297,9 +302,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = "camp"
 	}
-	if cfg.Mode == "" {
-		cfg.Mode = ModeByte
-	}
+	cfg.Mode = cmp.Or(cfg.Mode, ModeByte)
 	if cfg.Precision == 0 {
 		cfg.Precision = core.DefaultPrecision
 	}
@@ -310,9 +313,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxValueBytes = 8 << 20
 	}
 	if len(cfg.TenantReserves) > 0 {
-		if cfg.Mode != ModeByte && cfg.Mode != ModeArena {
-			return nil, fmt.Errorf("%w: tenant reserves require byte or arena mode", errBadConfig)
-		}
 		var sum int64
 		for name, res := range cfg.TenantReserves {
 			if _, ok := parseTenantName([]byte(name)); !ok {
@@ -328,9 +328,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if len(cfg.TenantQuotas) > 0 {
-		if cfg.Mode != ModeByte && cfg.Mode != ModeArena {
-			return nil, fmt.Errorf("%w: tenant quotas require byte or arena mode", errBadConfig)
-		}
 		for name, q := range cfg.TenantQuotas {
 			if _, ok := parseTenantName([]byte(name)); !ok {
 				return nil, fmt.Errorf("%w: bad tenant name %q", errBadConfig, name)
@@ -343,9 +340,6 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.ReplicaTenants) > 0 {
 		if cfg.ReplicaOf == "" {
 			return nil, fmt.Errorf("%w: ReplicaTenants requires ReplicaOf", errBadConfig)
-		}
-		if cfg.Mode != ModeByte && cfg.Mode != ModeArena {
-			return nil, fmt.Errorf("%w: tenant-filtered replication requires byte or arena mode", errBadConfig)
 		}
 		names := append([]string(nil), cfg.ReplicaTenants...)
 		sort.Strings(names)
@@ -363,12 +357,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.tenants = newTenantRegistry()
 	s := &Server{
-		cfg:       cfg,
-		tenants:   cfg.tenants,
-		arenaMode: cfg.Mode == ModeArena,
-		conns:     make(map[net.Conn]struct{}),
-		feeds:     make(map[*feedStat]struct{}),
-		started:   time.Now(),
+		cfg:     cfg,
+		tenants: cfg.tenants,
+		conns:   make(map[net.Conn]struct{}),
+		feeds:   make(map[*feedStat]struct{}),
+		started: time.Now(),
 	}
 	if th := cfg.SlowlogThreshold; th != 0 {
 		s.metrics.slowlog.SetThreshold(th)
@@ -395,6 +388,10 @@ func New(cfg Config) (*Server, error) {
 			store:    st,
 			missedAt: make(map[string]time.Time),
 		})
+	}
+	s.caps = s.shards[0].store.caps
+	if !s.caps.tenancy && len(cfg.TenantReserves)+len(cfg.TenantQuotas)+len(cfg.ReplicaTenants) > 0 {
+		return nil, fmt.Errorf("%w: tenant reserves, quotas and filtered replication need a layout with tenancy (byte or arena), not %s", errBadConfig, cfg.Mode)
 	}
 	if p := cfg.Persist; p != nil {
 		if p.Dir == "" {
@@ -946,56 +943,13 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 	cs.shardIdx = shardIndex(cs.nsKeyFor(keys[0]), len(s.shards))
 	hits := cs.hits[:0]
 	now := time.Now()
-	if tq := tn.quota; tq != nil && tq.shedReads && !tq.allowOp(now.UnixNano()) {
+	nowNano := now.UnixNano()
+	if tq := tn.quota; tq != nil && tq.shedReads && !tq.allowOp(nowNano) {
 		tn.quotaShed.Add(1)
 		_, err := w.Write(replyOverQuota)
 		return err
 	}
-	if s.arenaMode {
-		// Arena values are relocated by the compactor, so the references do
-		// NOT survive the shard lock: each hit's whole VALUE block is staged
-		// into the pooled reply scratch while the lock is held.
-		out := cs.out[:0]
-		for _, k := range keys {
-			if bytes.IndexByte(k, 0) >= 0 {
-				s.counters.getMisses.Add(1)
-				tn.misses.Add(1)
-				continue
-			}
-			nk := cs.nsKeyFor(k)
-			sh := s.shardForBytes(nk)
-			sh.mu.Lock()
-			it, ok := sh.store.getBytes(nk, now)
-			if !ok {
-				if !s.cfg.DisableIQ {
-					sh.recordMissLocked(string(nk), now)
-				}
-				sh.mu.Unlock()
-				s.counters.getMisses.Add(1)
-				tn.misses.Add(1)
-				continue
-			}
-			value := sh.store.itemValue(it)
-			out = append(out, "VALUE "...)
-			out = append(out, it.key[pfx:]...)
-			out = append(out, ' ')
-			out = strconv.AppendUint(out, uint64(it.flags), 10)
-			out = append(out, ' ')
-			out = strconv.AppendInt(out, int64(len(value)), 10)
-			out = append(out, '\r', '\n')
-			out = append(out, value...)
-			out = append(out, '\r', '\n')
-			cost := it.cost
-			sh.mu.Unlock()
-			s.counters.getHits.Add(1)
-			tn.hits.Add(1)
-			tn.costSaved.Add(uint64(cost))
-		}
-		out = append(out, replyEnd...)
-		cs.out = out
-		_, err := w.Write(out)
-		return err
-	}
+	out := cs.out[:0]
 	for _, k := range keys {
 		if bytes.IndexByte(k, 0) >= 0 {
 			s.counters.getMisses.Add(1)
@@ -1005,7 +959,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 		nk := cs.nsKeyFor(k)
 		sh := s.shardForBytes(nk)
 		sh.mu.Lock()
-		it, ok := sh.store.getBytes(nk, now)
+		it, ok := sh.store.getBytes(nk, nowNano)
 		if !ok {
 			if !s.cfg.DisableIQ {
 				sh.recordMissLocked(string(nk), now)
@@ -1015,13 +969,22 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 			tn.misses.Add(1)
 			continue
 		}
-		// Stored values (and the item's key string) are never mutated in
-		// place, so the references stay valid after the lock drops.
+		if s.caps.relocates {
+			// The value bytes may move once the lock drops: stage the whole
+			// VALUE block into the pooled reply scratch while it is held.
+			v := sh.store.layout.value(it)
+			out = appendValueHeader(out, it.key[pfx:], it.flags, len(v))
+			out = append(append(out, v...), '\r', '\n')
+		} else {
+			// The item is never mutated once published (bar its deadline),
+			// so the reference stays valid after the lock drops.
+			hits = append(hits, it)
+		}
+		cost := it.cost
 		sh.mu.Unlock()
 		s.counters.getHits.Add(1)
 		tn.hits.Add(1)
-		tn.costSaved.Add(uint64(it.cost))
-		hits = append(hits, it)
+		tn.costSaved.Add(uint64(cost))
 	}
 	// Keep the grown slot capacity but drop the item references once the
 	// reply is written, so an idle connection never pins evicted values
@@ -1033,14 +996,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 		cs.hits = hits[:0]
 	}()
 	for _, it := range hits {
-		out := append(cs.out[:0], "VALUE "...)
-		out = append(out, it.key[pfx:]...)
-		out = append(out, ' ')
-		out = strconv.AppendUint(out, uint64(it.flags), 10)
-		out = append(out, ' ')
-		out = strconv.AppendInt(out, int64(len(it.value)), 10)
-		out = append(out, '\r', '\n')
-		cs.out = out
+		out = appendValueHeader(out, it.key[pfx:], it.flags, len(it.value))
 		if _, err := w.Write(out); err != nil {
 			return err
 		}
@@ -1050,9 +1006,23 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 		if _, err := w.Write(crlf); err != nil {
 			return err
 		}
+		out = out[:0]
 	}
-	_, err := w.Write(replyEnd)
+	out = append(out, replyEnd...)
+	cs.out = out
+	_, err := w.Write(out)
 	return err
+}
+
+// appendValueHeader appends a get hit's "VALUE <key> <flags> <bytes>" line.
+func appendValueHeader(out []byte, key string, flags uint32, n int) []byte {
+	out = append(out, "VALUE "...)
+	out = append(out, key...)
+	out = append(out, ' ')
+	out = strconv.AppendUint(out, uint64(flags), 10)
+	out = append(out, ' ')
+	out = strconv.AppendInt(out, int64(n), 10)
+	return append(out, '\r', '\n')
 }
 
 // handleStore covers set, add, replace, append and prepend:
@@ -1124,11 +1094,11 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 	// interned key on overwrite, so only brand-new keys pay the allocation.
 	cs.keyBuf = append(cs.keyBuf[:0], cs.nsKeyFor(args[0])...)
 	var value []byte
-	if s.arenaMode {
-		// The arena copies the payload into its segment under the shard lock
-		// and the journal serializes it before Append returns, so pooled
-		// scratch is safe to reuse for the next command — the zero-alloc half
-		// of the arena set path.
+	if s.caps.relocates {
+		// The layout copies the payload in under the shard lock and the
+		// journal serializes it before Append returns, so pooled scratch is
+		// safe to reuse for the next command — the zero-alloc half of the
+		// arena set path.
 		if cap(cs.valBuf) < int(nbytes) {
 			cs.valBuf = make([]byte, nbytes)
 		}
@@ -1369,14 +1339,15 @@ func (s *Server) handleTouch(args [][]byte, cs *connState) error {
 	lockStart := time.Now()
 	// The incremental expiry sweep every mutating path pays, so a
 	// touch-heavy workload reclaims dead items too.
-	sh.store.sweepExpired(now, expirySweepProbes)
-	it, found := sh.store.get(key, now)
+	nowNano := now.UnixNano()
+	sh.store.sweepExpired(nowNano, expirySweepProbes)
+	it, found := sh.store.get(key, nowNano)
 	if found {
-		sh.store.touchResident(it, expiryFrom(ttl, now))
+		sh.store.touch(it, expiryFrom(ttl, nowNano))
 		sh.journalLocked(persist.Op{
 			Kind:    persist.KindTouch,
 			Key:     key,
-			Expires: persist.ExpiresFrom(it.expiresAt),
+			Expires: it.deadline,
 		})
 	}
 	sh.mu.Unlock()
@@ -1484,7 +1455,7 @@ func (s *Server) handleStats(args [][]byte, cs *connState) error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		items += sh.store.len()
-		bytes += sh.store.used()
+		bytes += sh.store.usedAll()
 		evictions += sh.store.evictions()
 		rejected += sh.store.rejected()
 		reclaimed += sh.store.reclaimed()

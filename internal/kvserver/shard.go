@@ -236,7 +236,8 @@ const expirySweepProbes = 4
 // (allocation-free), an overwrite reuses the resident item's interned key
 // string, and only a brand-new key materializes one. The caller holds sh.mu.
 func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags uint32, ttl, cost int64, now time.Time) []byte {
-	sh.store.sweepExpired(now, expirySweepProbes)
+	nowNano := now.UnixNano()
+	sh.store.sweepExpired(nowNano, expirySweepProbes)
 	existing, exists := sh.store.items[string(keyBytes)]
 	var key string
 	if exists {
@@ -244,7 +245,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 	} else {
 		key = string(keyBytes)
 	}
-	if exists && !existing.expiresAt.IsZero() && now.After(existing.expiresAt) {
+	if exists && existing.expired(nowNano) {
 		sh.store.delete(key)
 		sh.store.expiredReclaimed++
 		existing, exists = nil, false
@@ -263,9 +264,9 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 			return replyNotStored
 		}
 		// Concatenation keeps the existing flags and cost; the payload
-		// just grows. itemValue resolves the arena record when one backs
-		// the item; the fresh slice is built while the lock pins it.
-		old := sh.store.itemValue(existing)
+		// just grows. The fresh slice is built while the lock pins the old
+		// bytes, which a relocating layout may move afterwards.
+		old := sh.store.layout.value(existing)
 		if cmd == cmdAppend {
 			value = append(append(make([]byte, 0, len(old)+len(value)), old...), value...)
 		} else {
@@ -294,8 +295,8 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 	if cost == 0 {
 		cost = 1
 	}
-	expires := expiryFrom(ttl, now)
-	if !sh.store.setAbs(key, value, flags, expires, cost) {
+	deadline := expiryFrom(ttl, nowNano)
+	if !sh.store.setAbs(key, value, flags, deadline, cost) {
 		sh.srv.counters.setRejected.Add(1)
 		// A failed set drops any existing version of the key (the store
 		// already tore it down to make room); journal that removal, or
@@ -310,7 +311,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 		Key:     key,
 		Value:   value,
 		Flags:   flags,
-		Expires: persist.ExpiresFrom(expires),
+		Expires: deadline,
 		Size:    sh.store.itemSize(key, value),
 		Cost:    cost,
 	})
@@ -321,12 +322,12 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 // new value for the caller to format; otherwise reply is the error. The
 // caller holds sh.mu.
 func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time) (val uint64, reply []byte) {
-	sh.store.sweepExpired(now, expirySweepProbes)
-	it, ok := sh.store.get(key, now)
+	sh.store.sweepExpired(now.UnixNano(), expirySweepProbes)
+	it, ok := sh.store.get(key, now.UnixNano())
 	if !ok {
 		return 0, replyNotFound
 	}
-	cur, perr := strconv.ParseUint(string(sh.store.itemValue(it)), 10, 64)
+	cur, perr := strconv.ParseUint(string(sh.store.layout.value(it)), 10, 64)
 	if perr != nil {
 		return 0, replyNonNumeric
 	}
@@ -341,7 +342,7 @@ func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time)
 	cost := sh.costOfLocked(key)
 	// Arithmetic keeps the item's flags and expiration, as memcached does;
 	// only the payload changes.
-	if !sh.store.setAbs(key, newVal, it.flags, it.expiresAt, cost) {
+	if !sh.store.setAbs(key, newVal, it.flags, it.deadline, cost) {
 		sh.srv.counters.setRejected.Add(1)
 		// The failed rewrite dropped the key (see storeLocked); keep the
 		// journal in step.
@@ -353,7 +354,7 @@ func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time)
 		Key:     key,
 		Value:   newVal,
 		Flags:   it.flags,
-		Expires: persist.ExpiresFrom(it.expiresAt),
+		Expires: it.deadline,
 		Size:    sh.store.itemSize(key, newVal),
 		Cost:    cost,
 	})

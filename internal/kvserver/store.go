@@ -1,14 +1,11 @@
 package kvserver
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"time"
 
-	"camp/internal/alloc"
 	"camp/internal/cache"
 	"camp/internal/core"
 	"camp/internal/persist"
@@ -18,35 +15,44 @@ import (
 // is duplicated into the item so hot reads arriving as wire []byte never
 // materialize a string: the map lookup converts in place (which Go compiles
 // allocation-free) and every downstream consumer — policy bump, VALUE reply
-// — reuses this stored string. value and key are never mutated in place, so
-// handlers may reference them after the shard lock drops.
-// In arena mode value is nil and aref locates the packed record instead;
-// arena values ARE relocated by compaction, so arena-mode readers must copy
-// what they need before the shard lock drops (see store.itemValue).
+// — reuses this stored string.
+//
+// Under a non-relocating layout value holds the bytes, and a published item
+// is never mutated apart from its deadline — an overwrite installs a new
+// item — so handlers may reference key, flags and value after the shard lock
+// drops. Under a relocating layout (arena) value is nil, the item is updated
+// in place, and readers copy what they need before the lock drops.
 type item struct {
-	key       string
-	value     []byte
-	flags     uint32
-	expiresAt time.Time // zero means no expiry
-	handle    alloc.Handle
-	buddyOff  int64
-	aref      alloc.Ref
+	key   string
+	value []byte
+	// loc is the layout's location word: the buddy block offset, the packed
+	// slab handle or the arena record's Ref.
+	loc   uint64
+	flags uint32
+	// deadline is the absolute expiry in Unix nanoseconds, 0 meaning none —
+	// the form journal and arena records carry too.
+	deadline int64
 	// cost is the admission cost the policy charged for this entry, kept
 	// here so per-tenant cost-saved accounting on the get path needs no
 	// policy lookup.
 	cost int64
 }
 
-// store manages items under one of the four memory-management schemes (the
-// paper's §5 malloc/slab/buddy trio plus the Memshare-style packed arena).
-type store struct {
-	cfg   Config
-	items map[string]*item
+// expired reports whether the item's deadline has passed at now (Unix
+// nanoseconds).
+func (it *item) expired(now int64) bool { return it.deadline != 0 && now > it.deadline }
 
-	// byte, buddy and arena modes. policy is the default tenant's; byte and
-	// arena modes may additionally carry one policy per non-default tenant
-	// in tens, with the store-level arbiter (makeRoom) enforcing the shared
-	// capacity.
+// store manages items under one memory layout (memlayout.go): the paper's §5
+// malloc/slab/buddy trio or the Memshare-style packed arena.
+type store struct {
+	cfg    Config
+	items  map[string]*item
+	layout memLayout
+	caps   layoutCaps
+
+	// policy is the default tenant's. Under a tenancy layout each
+	// non-default tenant additionally has its own policy in tens, with the
+	// store-level arbiter (makeRoom) enforcing the shared capacity.
 	policy  cache.Policy
 	evicter cache.Evicter
 	tens    map[string]*tenantState
@@ -59,107 +65,26 @@ type store struct {
 	// defUsed caches the default policy's last observed Used().
 	defUsed int64
 
-	// slab mode (Twemcache layout: per-class LRU ordering).
-	slab     *alloc.SlabAllocator
-	classLRU []*cache.LRU
-
-	// buddy mode.
-	buddy *alloc.BuddyAllocator
-
-	// arena mode: values live as packed records in per-shard segments; the
-	// items map doubles as the hash→(segment,offset) index through each
-	// item's aref. The pre-bound callbacks keep the incremental compactor's
-	// per-mutation steps allocation-free.
-	arena      *alloc.Arena
-	arenaAlive func(key []byte, ref alloc.Ref) bool
-	arenaMoved func(key []byte, ref alloc.Ref)
-
-	evicted uint64
 	// expiredReclaimed counts items removed because their TTL had passed —
 	// on access and by the incremental sweep — as opposed to policy
 	// evictions.
 	expiredReclaimed uint64
 	// evictedBase/rejectedBase carry policy-held counts across flush():
 	// flush replaces the policy object, so its lifetime stats are folded in
-	// here first (slab mode's st.evicted is store-held already).
+	// here first.
 	evictedBase  uint64
 	rejectedBase uint64
 }
 
 func newStore(cfg Config) (*store, error) {
 	st := &store{cfg: cfg, items: make(map[string]*item)}
-	switch cfg.Mode {
-	case ModeByte:
-		p, err := buildPolicy(cfg, cfg.MemoryBytes)
-		if err != nil {
-			return nil, err
-		}
-		st.policy = p
-	case ModeBuddy:
-		minBlock := cfg.MinBlock
-		if minBlock == 0 {
-			minBlock = 64
-		}
-		b, err := alloc.NewBuddyAllocator(cfg.MemoryBytes, minBlock)
-		if err != nil {
-			return nil, err
-		}
-		st.buddy = b
-		p, err := buildPolicy(cfg, b.ArenaSize())
-		if err != nil {
-			return nil, err
-		}
-		st.policy = p
-	case ModeArena:
-		a, err := alloc.NewArena(cfg.MemoryBytes, cfg.ArenaSegment)
-		if err != nil {
-			return nil, err
-		}
-		st.arena = a
-		p, err := buildPolicy(cfg, cfg.MemoryBytes)
-		if err != nil {
-			return nil, err
-		}
-		st.policy = p
-		// Bound once so the per-mutation compaction steps never allocate a
-		// closure. After flush() copies a fresh store over this one, the
-		// captured pointer's items map and arena still alias the live
-		// store's (neither field is ever reassigned), so the bindings stay
-		// correct across flushes.
-		st.arenaAlive = func(key []byte, ref alloc.Ref) bool {
-			it, ok := st.items[string(key)]
-			return ok && it.aref == ref
-		}
-		st.arenaMoved = func(key []byte, ref alloc.Ref) {
-			if it, ok := st.items[string(key)]; ok {
-				it.aref = ref
-			}
-		}
-	case ModeSlab:
-		var opts []alloc.SlabOption
-		if cfg.SlabSize > 0 {
-			opts = append(opts, alloc.WithSlabSize(cfg.SlabSize))
-		}
-		a, err := alloc.NewSlabAllocator(cfg.MemoryBytes, opts...)
-		if err != nil {
-			return nil, err
-		}
-		st.slab = a
-		st.classLRU = make([]*cache.LRU, a.NumClasses())
-		for i := range st.classLRU {
-			st.classLRU[i] = cache.NewLRU(math.MaxInt64)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown mode %q", errBadConfig, cfg.Mode)
+	layout, policy, err := newLayout(cfg, st.items)
+	if err != nil {
+		return nil, err
 	}
-	if st.policy != nil {
-		ev, ok := st.policy.(cache.Evicter)
-		if !ok && (cfg.Mode == ModeBuddy || cfg.Mode == ModeArena) {
-			return nil, fmt.Errorf("%w: policy %q cannot drive %s eviction", errBadConfig, cfg.Policy, cfg.Mode)
-		}
-		st.evicter = ev
-		st.policy.SetEvictFunc(st.onPolicyEvict)
-	}
+	st.layout, st.caps, st.policy = layout, layout.caps(), policy
+	st.evicter, _ = policy.(cache.Evicter)
+	policy.SetEvictFunc(st.onPolicyEvict)
 	return st, nil
 }
 
@@ -176,21 +101,13 @@ func buildPolicy(cfg Config, capacity int64) (cache.Policy, error) {
 	}
 }
 
-// onPolicyEvict keeps the item map (and the buddy or packed arena) in sync
-// with policy evictions.
+// onPolicyEvict keeps the item map and the layout in sync with policy
+// evictions.
 func (st *store) onPolicyEvict(e cache.Entry) {
-	it, ok := st.items[e.Key]
-	if !ok {
-		return
+	if it, ok := st.items[e.Key]; ok {
+		st.layout.release(it.loc)
+		delete(st.items, e.Key)
 	}
-	if st.buddy != nil {
-		st.buddy.Free(it.buddyOff)
-	}
-	if st.arena != nil {
-		st.arena.Release(it.aref)
-	}
-	delete(st.items, e.Key)
-	st.evicted++
 }
 
 func (st *store) itemSize(key string, value []byte) int64 {
@@ -211,12 +128,11 @@ type tenantState struct {
 }
 
 // ensureTenant creates (or returns) the per-shard policy state for a
-// non-default tenant. Byte and arena modes only: the slab and buddy layouts
-// refuse the tenant verb at the protocol layer, and under them a restored
-// namespaced key is served as a plain key with no isolation. The caller
-// holds the shard mutex.
+// non-default tenant. Tenancy layouts only: the others refuse the tenant
+// verb at the protocol layer, and under them a restored namespaced key is
+// served as a plain key with no isolation. The caller holds the shard mutex.
 func (st *store) ensureTenant(name string) *tenantState {
-	if name == defaultTenantName || st.cfg.tenants == nil || st.slab != nil || st.buddy != nil {
+	if name == defaultTenantName || st.cfg.tenants == nil || !st.caps.tenancy {
 		return nil
 	}
 	if ts, ok := st.tens[name]; ok {
@@ -246,7 +162,7 @@ func (st *store) ensureTenant(name string) *tenantState {
 // bypassing reserves, arbitration and per-tenant stats.
 func (st *store) multiTenant() bool {
 	reg := st.cfg.tenants
-	return reg != nil && reg.multi.Load() && st.slab == nil && st.buddy == nil
+	return reg != nil && reg.multi.Load() && st.caps.tenancy
 }
 
 // policyFor routes a stored key to the policy that owns it: the tenant named
@@ -306,19 +222,11 @@ func (st *store) shardReserve(total int64) int64 {
 // usedAll is the store-wide resident byte figure the shared capacity bounds.
 // It is the running total noteUsage maintains, so the arbiter's inner loops
 // read it in O(1) instead of re-summing every tenant policy.
-func (st *store) usedAll() int64 {
-	if st.policy == nil {
-		return 0
-	}
-	return st.totalUsed
-}
+func (st *store) usedAll() int64 { return st.totalUsed }
 
 // usedAllSlow recomputes the resident total from the policies directly; the
 // invariant tests compare it against the running figure.
 func (st *store) usedAllSlow() int64 {
-	if st.policy == nil {
-		return 0
-	}
 	used := st.policy.Used()
 	for _, ts := range st.tens {
 		used += ts.policy.Used()
@@ -341,12 +249,6 @@ func (st *store) makeRoom(requester cache.Policy, size int64) bool {
 		}
 	}
 	return true
-}
-
-// evictArbitrated evicts one entry from the tenant whose next victim carries
-// the lowest marginal priority; see evictArbitratedBatch.
-func (st *store) evictArbitrated(requester cache.Policy) bool {
-	return st.evictArbitratedBatch(requester, 1)
 }
 
 // evictArbitratedBatch frees up to need bytes from the tenant whose next
@@ -450,9 +352,9 @@ func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
 // counters untouched. Deletions are not evictions, so eviction stats are
 // unaffected too.
 func (st *store) flushTenant(name string) {
-	if st.slab != nil || st.buddy != nil {
-		// Non-byte layouts are single-tenant: only the default name means
-		// anything, and flushing it flushes everything, as before.
+	if !st.caps.tenancy {
+		// Layouts without tenancy are single-tenant: only the default name
+		// means anything, and flushing it flushes everything.
 		if name == defaultTenantName {
 			st.flush()
 		}
@@ -481,9 +383,6 @@ func (st *store) flushTenant(name string) {
 // policyLifetime sums lifetime eviction/rejection counts across the default
 // policy and every tenant policy.
 func (st *store) policyLifetime() (evicted, rejected uint64) {
-	if st.policy == nil {
-		return 0, 0
-	}
 	s := st.policy.Stats()
 	evicted, rejected = s.Evictions, s.Rejected
 	for _, ts := range st.tens {
@@ -495,20 +394,16 @@ func (st *store) policyLifetime() (evicted, rejected uint64) {
 }
 
 // visitTenantUsage reports per-tenant residency in this store. The caller
-// holds the shard mutex. Non-policy layouts (slab) are single-tenant and
-// report everything under the default name.
+// holds the shard mutex.
 func (st *store) visitTenantUsage(visit func(name string, used int64, items int, evictions uint64)) {
-	if st.policy == nil {
-		visit(defaultTenantName, st.used(), st.len(), st.evictions())
-		return
-	}
 	visit(defaultTenantName, st.policy.Used(), st.policy.Len(), st.policy.Stats().Evictions)
 	for name, ts := range st.tens {
 		visit(name, ts.policy.Used(), ts.policy.Len(), ts.policy.Stats().Evictions)
 	}
 }
 
-func (st *store) get(key string, now time.Time) (*item, bool) {
+// get looks up a live key at now (Unix nanoseconds).
+func (st *store) get(key string, now int64) (*item, bool) {
 	it, ok := st.items[key]
 	if !ok {
 		return nil, false
@@ -519,7 +414,7 @@ func (st *store) get(key string, now time.Time) (*item, bool) {
 // getBytes is get for a key still in its wire []byte form: the map access
 // compiles to a no-allocation lookup, and on a hit the item's own key
 // string serves the policy bump, so the read path never allocates.
-func (st *store) getBytes(key []byte, now time.Time) (*item, bool) {
+func (st *store) getBytes(key []byte, now int64) (*item, bool) {
 	it, ok := st.items[string(key)]
 	if !ok {
 		return nil, false
@@ -529,15 +424,11 @@ func (st *store) getBytes(key []byte, now time.Time) (*item, bool) {
 
 // getResident finishes a get on a mapped item: lazy expiry, then the
 // recency/priority bump in whichever structure owns the key.
-func (st *store) getResident(it *item, now time.Time) (*item, bool) {
-	if !it.expiresAt.IsZero() && now.After(it.expiresAt) {
+func (st *store) getResident(it *item, now int64) (*item, bool) {
+	if it.expired(now) {
 		st.delete(it.key)
 		st.expiredReclaimed++
 		return nil, false
-	}
-	if st.slab != nil {
-		st.classLRU[it.handle.Class()].Get(it.key)
-		return it, true
 	}
 	if !st.policyFor(it.key).Get(it.key) {
 		return nil, false
@@ -552,73 +443,95 @@ func (st *store) getResident(it *item, now time.Time) (*item, bool) {
 // that stops expired-but-untouched items from pinning capacity (and
 // inflating curr_items/bytes) forever. Runs under the already-held shard
 // lock; n stays small so no single request stalls.
-func (st *store) sweepExpired(now time.Time, n int) {
+func (st *store) sweepExpired(now int64, n int) {
 	for key, it := range st.items {
 		if n <= 0 {
 			return
 		}
 		n--
-		if !it.expiresAt.IsZero() && now.After(it.expiresAt) {
+		if it.expired(now) {
 			st.delete(key)
 			st.expiredReclaimed++
 		}
 	}
 }
 
-// expiryFrom converts a memcached relative TTL to an absolute deadline.
-// Negative exptime means "already expired" (memcached's invalidation idiom),
-// not "no expiry": mapping it to immortal let `set k 0 -1 3` pin an
-// unexpirable item and made `touch k -1` immortalize instead of invalidate.
-// The deadline lands just behind now, so the entry is born expired and the
-// next access or sweep reclaims it — and since journals and replication
-// carry this deadline (not the TTL), replay reproduces the invalidation.
-func expiryFrom(ttl int64, now time.Time) time.Time {
-	if ttl > 0 {
-		return now.Add(time.Duration(ttl) * time.Second)
+// maxRelativeExptime is memcached's 30-day cut-off: a larger exptime is an
+// absolute Unix time, not a TTL.
+const maxRelativeExptime = 30 * 24 * 60 * 60
+
+// expiryFrom converts a memcached exptime to an absolute deadline in Unix
+// nanoseconds (0 = none) at now. A negative exptime means "already expired"
+// (memcached's invalidation idiom): the deadline lands just behind now, so
+// the entry is born expired and the next access or sweep reclaims it. An
+// exptime over 30 days is an absolute Unix time, so a past one expires the
+// same way; one too far ahead for int64 nanoseconds saturates instead of
+// wrapping into the past. Journals and replication carry the deadline, not
+// the exptime, so replay reproduces the same expiry.
+func expiryFrom(exptime, now int64) int64 {
+	const second = int64(1e9)
+	switch {
+	case exptime == 0:
+		return 0
+	case exptime < 0:
+		return now - 1
+	case exptime <= maxRelativeExptime:
+		return now + exptime*second
+	case exptime > math.MaxInt64/second:
+		return math.MaxInt64
+	default:
+		return exptime * second
 	}
-	if ttl < 0 {
-		return now.Add(-time.Nanosecond)
-	}
-	return time.Time{}
 }
 
-func (st *store) set(key string, value []byte, flags uint32, ttl, cost int64, now time.Time) bool {
-	return st.setAbs(key, value, flags, expiryFrom(ttl, now), cost)
-}
-
-// setAbs is set with an absolute expiry, the form recovery needs: journals
-// record deadlines, not TTLs, so restarts do not extend item lifetimes.
-func (st *store) setAbs(key string, value []byte, flags uint32, expires time.Time, cost int64) bool {
-	return st.setAbsPrio(key, value, flags, expires, cost, 0, 0, false)
+// setAbs stores a value with an absolute deadline, the form recovery needs:
+// journals record deadlines, not TTLs, so restarts do not extend item
+// lifetimes.
+func (st *store) setAbs(key string, value []byte, flags uint32, deadline, cost int64) bool {
+	return st.setAbsPrio(key, value, flags, deadline, cost, 0, 0, false)
 }
 
 // setAbsPrio is setAbs with an optional pinned eviction-priority offset, the
 // form v2 snapshot replay uses: a KindSetPrio record re-enters the policy at
 // the exact H − L it held when the snapshot was cut, so a mid-churn warm
 // start reproduces the live cross-queue eviction schedule. Policies without
-// priority state (and the slab layout, whose class LRUs are pure recency)
-// ignore the offset — replay order alone restores them exactly.
-func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires time.Time, cost int64, prio, class uint64, hasPrio bool) bool {
-	if st.arena != nil {
-		return st.setArena(key, value, flags, expires, cost, prio, class, hasPrio)
+// priority state (LRU, the slab class LRUs) ignore the offset — replay
+// order alone restores them exactly.
+//
+// The layout places the value first, with its own pressure loop; then the
+// owning policy admits the charge. A failure at either step drops the entry
+// entirely — the new bytes and whatever old version remained — so memory
+// agrees with the delete the caller journals.
+func (st *store) setAbsPrio(key string, value []byte, flags uint32, deadline, cost int64, prio, class uint64, hasPrio bool) bool {
+	loc, charge, ok := st.layout.place(st, key, value, flags, deadline)
+	if !ok {
+		st.delete(key)
+		return false
 	}
-	it := &item{key: key, value: value, flags: flags, expiresAt: expires, cost: cost}
-	size := st.itemSize(key, value)
-	switch {
-	case st.slab != nil:
-		// Slab layout: per-class LRUs are pure recency; replay order alone
-		// restores them.
-		return st.setSlab(key, it, size, cost)
-	case st.buddy != nil:
-		return st.setBuddy(key, it, size, cost, prio, class, hasPrio)
-	default:
-		if !st.policySet(key, size, cost, prio, class, hasPrio) {
-			delete(st.items, key) // a failed grow drops the entry
-			return false
+	if !st.policySet(key, charge, cost, prio, class, hasPrio) {
+		// The policy dropped any old version itself.
+		st.layout.release(loc)
+		if old, exists := st.items[key]; exists {
+			st.layout.release(old.loc)
+			delete(st.items, key)
 		}
-		st.items[key] = it
-		return true
+		return false
 	}
+	// Re-lookup rather than trusting a pre-place snapshot: the pressure loop
+	// or the policy's own evictions may have removed the old version.
+	it, exists := st.items[key]
+	if exists {
+		st.layout.release(it.loc)
+	}
+	if !exists || !st.caps.relocates {
+		it = &item{key: key}
+		st.items[key] = it
+	}
+	if !st.caps.relocates {
+		it.value = value
+	}
+	it.loc, it.flags, it.deadline, it.cost = loc, flags, deadline, cost
+	return true
 }
 
 // policySet admits through the policy that owns the key, pinning the
@@ -650,260 +563,21 @@ func (st *store) policySet(key string, size, cost int64, prio, class uint64, has
 	return ok
 }
 
-// setArena lands the record's bytes in the packed arena, then admits the key
-// through the same policy machinery byte mode uses, so priorities, tenancy
-// and persistence behave identically across the two layouts. An overwrite
-// updates the resident item struct in place — together with the interned key
-// and the arena copy-in, that is what makes the steady-state set path free
-// of per-item heap allocations.
-func (st *store) setArena(key string, value []byte, flags uint32, expires time.Time, cost int64, prio, class uint64, hasPrio bool) bool {
-	size := st.itemSize(key, value)
-	if size > st.cfg.MemoryBytes {
-		return false
-	}
-	p, _ := st.stateFor(key)
-	ref, ok := st.arenaAppend(p, key, value, flags, expires)
-	if !ok {
-		return false
-	}
-	if !st.policySet(key, size, cost, prio, class, hasPrio) {
-		// Mirror the byte-mode contract: a refused admission drops the entry
-		// entirely — the new bytes and whatever old version remained.
-		st.arena.Release(ref)
-		if old, exists := st.items[key]; exists {
-			st.arena.Release(old.aref)
-			delete(st.items, key)
-		}
-		return false
-	}
-	// Re-lookup rather than trusting a pre-append snapshot: the append loop's
-	// compaction/eviction (or the policy's own internal evictions during
-	// admission) may have removed the old version meanwhile.
-	if old, exists := st.items[key]; exists {
-		st.arena.Release(old.aref)
-		old.flags, old.expiresAt, old.cost, old.aref = flags, expires, cost, ref
-	} else {
-		st.items[key] = &item{key: key, flags: flags, expiresAt: expires, cost: cost, aref: ref}
-	}
-	st.arenaMaintain()
-	return true
-}
-
-// arenaAppend copies the record into the arena, clearing space on pressure:
-// compaction first (reclaims dead bytes for free), then Memshare-arbitrated
-// eviction on requester's behalf. The loop terminates — each CompactForce
-// recycles a whole segment or reports false, and each eviction removes one
-// resident entry, so a record that fits the budget eventually lands and one
-// that cannot fit fails once the arena is drained.
-func (st *store) arenaAppend(requester cache.Policy, key string, value []byte, flags uint32, expires time.Time) (alloc.Ref, bool) {
-	expNano := expiryNano(expires)
-	for {
-		ref, err := st.arena.Append(key, value, flags, expNano)
-		if err == nil {
-			return ref, true
-		}
-		if st.arena.CompactForce(st.arenaAlive, st.arenaMoved) {
-			continue
-		}
-		if !st.evictArbitrated(requester) {
-			return alloc.Ref{}, false
-		}
-	}
-}
-
-// expiryNano converts an absolute expiry to the arena record field: unix
-// nanoseconds, zero meaning no expiry.
-func expiryNano(expires time.Time) int64 {
-	if expires.IsZero() {
-		return 0
-	}
-	return expires.UnixNano()
-}
-
-// itemValue returns an item's stored value. The arena-mode slice aliases the
-// packed segment and is invalidated by compaction: consume or copy it before
-// the shard lock drops.
-func (st *store) itemValue(it *item) []byte {
-	if st.arena != nil {
-		return st.arena.Value(it.aref)
-	}
-	return it.value
-}
-
-// touchResident updates an item's expiry everywhere it lives: the item
-// struct and, in arena mode, the packed record itself — so a future
-// mmap-style rebuild from the segments sees the touched deadline.
-func (st *store) touchResident(it *item, expires time.Time) {
-	it.expiresAt = expires
-	if st.arena != nil {
-		st.arena.TouchExpiry(it.aref, expiryNano(expires))
-	}
-}
-
-// arenaCompactStride bounds how many record bytes one mutation's incremental
-// compaction step may scan, amortizing reclamation across operations the way
-// sweepExpired amortizes expiry.
-const arenaCompactStride = 32 << 10
-
-// arenaMaintain runs one bounded compaction step when any segment's
-// dead-byte ratio has crossed the threshold.
-func (st *store) arenaMaintain() {
-	if st.arena != nil && st.arena.NeedsCompaction() {
-		st.arena.CompactStep(arenaCompactStride, st.arenaAlive, st.arenaMoved)
-	}
-}
-
-// arenaStats exposes the packed arena's accounting for stats/metrics; the
-// zero value reports for non-arena layouts.
-func (st *store) arenaStats() alloc.ArenaStats {
-	if st.arena == nil {
-		return alloc.ArenaStats{}
-	}
-	return st.arena.Stats()
-}
-
-// setBuddy places the value in the buddy arena and charges the policy its
-// rounded block size. The pinned priority (v2 snapshot replay) passes
-// through to the policy: the buddy layout drives eviction through the same
-// CAMP/GDS policy byte mode uses, so its warm starts restore exact
-// cross-queue priorities the same way (block-size rounding is
-// deterministic, so the pinned class matches the recomputed block).
-func (st *store) setBuddy(key string, it *item, size, cost int64, prio, class uint64, hasPrio bool) bool {
-	// Replace any previous version first so we never evict ourselves.
-	st.deleteBuddy(key)
-	blockSize, err := st.buddy.BlockSize(size)
-	if err != nil {
-		return false
-	}
-	off, err := st.allocBuddy(size)
-	if err != nil {
-		return false
-	}
-	if !st.policySet(key, blockSize, cost, prio, class, hasPrio) {
-		st.buddy.Free(off)
-		return false
-	}
-	it.buddyOff = off
-	st.items[key] = it
-	return true
-}
-
-func (st *store) allocBuddy(size int64) (int64, error) {
-	for {
-		off, err := st.buddy.Alloc(size)
-		if err == nil {
-			return off, nil
-		}
-		if !errors.Is(err, alloc.ErrNoMemory) {
-			return 0, err
-		}
-		// The policy picks a victim; its callback frees the block.
-		if _, ok := st.evicter.EvictOne(); !ok {
-			return 0, err
-		}
-		st.noteUsage(st.policy, nil)
-	}
-}
-
-func (st *store) setSlab(key string, it *item, size, cost int64) bool {
-	st.deleteSlab(key)
-	class, err := st.slab.ClassFor(size)
-	if err != nil {
-		return false
-	}
-	h, err := st.allocSlab(key, class, size)
-	if err != nil {
-		return false
-	}
-	it.handle = h
-	st.items[key] = it
-	// Size 0 in the class LRU: the allocator owns space accounting.
-	st.classLRU[class].Set(key, 0, cost)
-	return true
-}
-
-// allocSlab implements Twemcache's §5 strategy: free chunk or new slab
-// (inside Alloc), then per-class LRU eviction, then random slab eviction.
-func (st *store) allocSlab(key string, class int, size int64) (alloc.Handle, error) {
-	for {
-		h, err := st.slab.Alloc(key, size)
-		if err == nil {
-			return h, nil
-		}
-		if !errors.Is(err, alloc.ErrNoMemory) {
-			return alloc.Handle{}, err
-		}
-		if victim, ok := st.classLRU[class].EvictOne(); ok {
-			st.purgeSlabVictim(victim.Key)
-			continue
-		}
-		// No item of this class to evict: random slab eviction.
-		owners, ok := st.slab.ReassignRandomSlab(class)
-		if !ok {
-			return alloc.Handle{}, alloc.ErrNoMemory
-		}
-		for _, owner := range owners {
-			if o, exists := st.items[owner]; exists {
-				st.classLRU[o.handle.Class()].Delete(owner)
-				delete(st.items, owner)
-				st.evicted++
-			}
-		}
-	}
-}
-
-// purgeSlabVictim removes a class-LRU victim's chunk and value.
-func (st *store) purgeSlabVictim(key string) {
-	it, ok := st.items[key]
-	if !ok {
-		return
-	}
-	st.slab.Free(it.handle)
-	delete(st.items, key)
-	st.evicted++
+// touch sets a resident item's deadline, in the item and in the layout.
+func (st *store) touch(it *item, deadline int64) {
+	it.deadline = deadline
+	st.layout.touch(it)
 }
 
 func (st *store) delete(key string) bool {
-	switch {
-	case st.slab != nil:
-		return st.deleteSlab(key)
-	case st.buddy != nil:
-		return st.deleteBuddy(key)
-	default:
-		p, ts := st.stateFor(key)
-		if !p.Delete(key) {
-			return false
-		}
-		st.noteUsage(p, ts)
-		if st.arena != nil {
-			if it, ok := st.items[key]; ok {
-				st.arena.Release(it.aref)
-			}
-		}
-		delete(st.items, key)
-		return true
-	}
-}
-
-func (st *store) deleteSlab(key string) bool {
 	it, ok := st.items[key]
 	if !ok {
 		return false
 	}
-	st.classLRU[it.handle.Class()].Delete(key)
-	st.slab.Free(it.handle)
-	delete(st.items, key)
-	return true
-}
-
-func (st *store) deleteBuddy(key string) bool {
-	it, ok := st.items[key]
-	if !ok {
-		return false
-	}
-	st.policy.Delete(key)
-	st.noteUsage(st.policy, nil)
-	st.buddy.Free(it.buddyOff)
+	p, ts := st.stateFor(key)
+	p.Delete(key)
+	st.noteUsage(p, ts)
+	st.layout.release(it.loc)
 	delete(st.items, key)
 	return true
 }
@@ -926,11 +600,6 @@ func (st *store) peekBytes(key []byte) (*item, cache.Entry, bool) {
 }
 
 func (st *store) peekResident(it *item) (*item, cache.Entry, bool) {
-	if st.slab != nil {
-		e, _ := st.classLRU[it.handle.Class()].Peek(it.key)
-		e.Size = st.itemSize(it.key, it.value)
-		return it, e, true
-	}
 	e, ok := st.policyFor(it.key).Peek(it.key)
 	return it, e, ok
 }
@@ -943,19 +612,19 @@ func (st *store) flush() {
 	}
 	// Lifetime counters survive the flush, as memcached's stats do. The
 	// policy object is being replaced, so its counts fold into the bases.
-	evicted, reclaimed := st.evicted, st.expiredReclaimed
+	reclaimed := st.expiredReclaimed
 	evictedBase, rejectedBase := st.evictedBase, st.rejectedBase
 	ev, rej := st.policyLifetime()
 	evictedBase += ev
 	rejectedBase += rej
 	*st = *fresh
-	st.evicted, st.expiredReclaimed = evicted, reclaimed
+	st.expiredReclaimed = reclaimed
 	st.evictedBase, st.rejectedBase = evictedBase, rejectedBase
 	// Rebuild the per-tenant policy states eagerly from the registry, which
 	// survives the flush: connections still hold their *tenant, and the next
 	// namespaced write must land in its tenant's (fresh) policy — with
 	// reserves and arbitration intact — not escape into the default one.
-	if reg := st.cfg.tenants; reg != nil && st.slab == nil && st.buddy == nil {
+	if reg := st.cfg.tenants; reg != nil && st.caps.tenancy {
 		for _, t := range reg.list() {
 			if t.name != defaultTenantName {
 				st.ensureTenant(t.name)
@@ -966,33 +635,12 @@ func (st *store) flush() {
 
 func (st *store) len() int { return len(st.items) }
 
-func (st *store) used() int64 {
-	switch {
-	case st.slab != nil:
-		var total int64
-		for _, cs := range st.slab.Stats() {
-			total += int64(cs.UsedChunks) * cs.ChunkSize
-		}
-		return total
-	default:
-		return st.usedAll()
-	}
-}
-
 func (st *store) evictions() uint64 {
-	if st.policy != nil {
-		ev, _ := st.policyLifetime()
-		return st.evictedBase + ev
-	}
-	return st.evicted
+	ev, _ := st.policyLifetime()
+	return st.evictedBase + ev
 }
 
-func (st *store) policyName() string {
-	if st.slab != nil {
-		return "lru-slab"
-	}
-	return st.policy.Name()
-}
+func (st *store) policyName() string { return st.policy.Name() }
 
 func (st *store) queueCount() int {
 	qc, ok := st.policy.(cache.QueueCounter)
@@ -1012,14 +660,10 @@ func (st *store) queueCount() int {
 func (st *store) reclaimed() uint64 { return st.expiredReclaimed }
 
 // rejected returns how many Set calls the eviction policy refused, so
-// operators can watch admission pressure. Slab mode has no admission policy
-// of its own and reports 0.
+// operators can watch admission pressure.
 func (st *store) rejected() uint64 {
-	if st.policy != nil {
-		_, rej := st.policyLifetime()
-		return st.rejectedBase + rej
-	}
-	return st.rejectedBase
+	_, rej := st.policyLifetime()
+	return st.rejectedBase + rej
 }
 
 // restore re-applies one recovered journal op through the configured
@@ -1029,14 +673,14 @@ func (st *store) rejected() uint64 {
 func (st *store) restore(op persist.Op) error {
 	switch op.Kind {
 	case persist.KindSet:
-		st.setAbs(op.Key, op.Value, op.Flags, op.ExpiresAt(), op.Cost)
+		st.setAbs(op.Key, op.Value, op.Flags, op.Expires, op.Cost)
 	case persist.KindSetPrio:
-		st.setAbsPrio(op.Key, op.Value, op.Flags, op.ExpiresAt(), op.Cost, op.Priority, op.Class, true)
+		st.setAbsPrio(op.Key, op.Value, op.Flags, op.Expires, op.Cost, op.Priority, op.Class, true)
 	case persist.KindDelete:
 		st.delete(op.Key)
 	case persist.KindTouch:
 		if it, ok := st.items[op.Key]; ok {
-			st.touchResident(it, op.ExpiresAt())
+			st.touch(it, op.Expires)
 		}
 	case persist.KindFlush:
 		// Keyless flushes clear the whole store (the only form before
@@ -1072,92 +716,74 @@ func (st *store) restore(op persist.Op) error {
 	return nil
 }
 
-// collectOps copies every live entry out as a snapshot op, in
-// eviction-priority order whenever the policy can enumerate it, and — for
-// the priority policies (CAMP, GDS) — with each entry's exact priority
-// offset (H − L) as a KindSetPrio record, so replaying the ops rebuilds not
-// just the queues' order but the live cross-queue eviction schedule,
-// byte-exact even after eviction churn (snapshot format v2; ROADMAP's
-// "exact snapshot priorities"). Pure-recency layouts (LRU, slab classes)
+// collectOps copies every live entry out as a snapshot op, in each policy's
+// eviction order, and — for the priority policies (CAMP, GDS) — with each
+// entry's exact priority offset (H − L) as a KindSetPrio record, so
+// replaying the ops rebuilds not just the queues' order but the live
+// cross-queue eviction schedule, byte-exact even after eviction churn
+// (snapshot format v2). Pure-recency policies (LRU, the slab class LRUs)
 // stay KindSet: their order is their entire state. The caller holds the
 // shard mutex only for this copy-out; the returned ops alias the stored
-// value slices, which is safe to serialize after unlocking because the
-// server never mutates a stored value in place — every rewrite installs a
-// fresh slice. Arena-mode values are the exception: the compactor DOES move
-// record bytes, so they are copied out here, under the lock.
+// value slices, which is safe to serialize after unlocking because a
+// non-relocating layout never mutates a stored value in place. A relocating
+// layout's values are copied out here, under the lock.
 func (st *store) collectOps() []persist.Op {
 	ops := make([]persist.Op, 0, len(st.items))
-	add := func(key string, cost int64, prio, class uint64, kind persist.Kind) bool {
-		it, ok := st.items[key]
+	// Tenant identity and quotas go first, so replay re-creates every
+	// tenant — including ones with no resident keys — before any entry
+	// lands or any keyed flush needs a namespace to clear.
+	if reg := st.cfg.tenants; reg != nil {
+		for _, t := range reg.list() {
+			if t.prefix == "" && t.reserve.Load() == 0 {
+				continue // the bare default tenant is implicit
+			}
+			ops = append(ops, persist.Op{Kind: persist.KindTenant, Key: t.name, Reserve: t.reserve.Load()})
+		}
+	}
+	add := func(e cache.Entry, prio, class uint64, kind persist.Kind) bool {
+		it, ok := st.items[e.Key]
 		if !ok {
 			return true
 		}
-		value := it.value
-		if st.arena != nil {
-			value = append([]byte(nil), st.arena.Value(it.aref)...)
+		value := st.layout.value(it)
+		if st.caps.relocates {
+			value = append([]byte(nil), value...)
 		}
 		ops = append(ops, persist.Op{
 			Kind:     kind,
-			Key:      key,
+			Key:      e.Key,
 			Value:    value,
 			Flags:    it.flags,
-			Expires:  persist.ExpiresFrom(it.expiresAt),
-			Size:     st.itemSize(key, value),
-			Cost:     cost,
+			Expires:  it.deadline,
+			Size:     st.itemSize(e.Key, value),
+			Cost:     e.Cost,
 			Priority: prio,
 			Class:    class,
 		})
 		return true
 	}
-	visit := func(e cache.Entry) bool { return add(e.Key, e.Cost, 0, 0, persist.KindSet) }
-	switch {
-	case st.slab != nil:
-		// Per-class LRU order, classes ascending: each class queue is
-		// rebuilt in its original order on load.
-		for _, lru := range st.classLRU {
-			lru.VisitEvictionOrder(visit)
-		}
-	default:
-		// Tenant identity and quotas go first, so replay re-creates every
-		// tenant — including ones with no resident keys — before any entry
-		// lands or any keyed flush needs a namespace to clear.
-		if reg := st.cfg.tenants; reg != nil {
-			for _, t := range reg.list() {
-				if t.prefix == "" && t.reserve.Load() == 0 {
-					continue // the bare default tenant is implicit
-				}
-				ops = append(ops, persist.Op{Kind: persist.KindTenant, Key: t.name, Reserve: t.reserve.Load()})
+	emitPolicy := func(p cache.Policy) {
+		if po, ok := p.(cache.PriorityOrdered); ok {
+			// The adaptive scale goes first so replay buckets every
+			// subsequent Set with the live workload's learned state.
+			if ps, ok := p.(cache.PriorityScaled); ok {
+				ops = append(ops, persist.Op{Kind: persist.KindScale, Scale: ps.PriorityScale()})
 			}
+			po.VisitEvictionPriority(func(e cache.Entry, prio, class uint64) bool {
+				return add(e, prio, class, persist.KindSetPrio)
+			})
+		} else if eo, ok := p.(cache.EvictionOrdered); ok {
+			eo.VisitEvictionOrder(func(e cache.Entry) bool { return add(e, 0, 0, persist.KindSet) })
 		}
-		emitPolicy := func(p cache.Policy) {
-			if po, ok := p.(cache.PriorityOrdered); ok {
-				// The adaptive scale goes first so replay buckets every
-				// subsequent Set with the live workload's learned state.
-				if ps, ok := p.(cache.PriorityScaled); ok {
-					ops = append(ops, persist.Op{Kind: persist.KindScale, Scale: ps.PriorityScale()})
-				}
-				po.VisitEvictionPriority(func(e cache.Entry, prio, class uint64) bool {
-					return add(e.Key, e.Cost, prio, class, persist.KindSetPrio)
-				})
-			} else if eo, ok := p.(cache.EvictionOrdered); ok {
-				eo.VisitEvictionOrder(visit)
-			} else if len(st.tens) == 0 {
-				for key := range st.items {
-					if _, meta, ok := st.peek(key); ok {
-						add(key, meta.Cost, 0, 0, persist.KindSet)
-					}
-				}
-			}
-		}
-		emitPolicy(st.policy)
-		names := make([]string, 0, len(st.tens))
-		for name := range st.tens {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			emitPolicy(st.tens[name].policy)
-		}
+	}
+	emitPolicy(st.policy)
+	names := make([]string, 0, len(st.tens))
+	for name := range st.tens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		emitPolicy(st.tens[name].policy)
 	}
 	return ops
 }

@@ -27,8 +27,8 @@ import (
 // contended it evicts from the tenant whose next victim carries the lowest
 // marginal priority (CAMP/GDS H − L) among tenants above their reserve — so
 // one tenant's churn can take the shared pool but never another tenant's
-// reserve. Byte mode only; slab and buddy layouts refuse non-default
-// tenants.
+// reserve. Tenancy layouts (byte, arena) only; slab and buddy refuse
+// non-default tenants.
 
 // defaultTenantName is the tenant every connection starts on. Its keys are
 // stored bare, so single-tenant deployments are byte-identical to the
@@ -256,9 +256,9 @@ func (s *Server) handleTenant(args [][]byte, cs *connState) error {
 		cs.tenant = nil
 		return s.replyTenant(cs, name)
 	}
-	if s.cfg.Mode != ModeByte && s.cfg.Mode != ModeArena {
-		// The slab and buddy layouts have no per-tenant policies to
-		// arbitrate between; refuse rather than silently share.
+	if !s.caps.tenancy {
+		// Layouts without tenancy have no per-tenant policies to arbitrate
+		// between; refuse rather than silently share.
 		_, err := w.Write(replyTenantMode)
 		return err
 	}
