@@ -119,12 +119,16 @@ fuzz:
 	$(GO) test ./internal/kvserver/ -fuzz FuzzParseTenantCommand -fuzztime 15s
 	$(GO) test ./internal/trace/ -fuzz FuzzBinaryReader -fuzztime 30s
 
-# CI smoke fuzz: a few seconds per persistence-format decoder on every PR,
-# so the corpus actually executes (seed-only runs never explore) without
-# holding the pipeline hostage. The full half-minute-per-target pass stays
+# CI smoke fuzz: a few seconds per persistence-format decoder, per parser of
+# the sync and tenant arguments clients send, and for the primary's sync
+# reply parser, on every PR, so the corpus actually executes (seed-only runs
+# never explore) without holding the pipeline hostage. The full half-minute-per-target pass stays
 # in `make fuzz` for local soak runs.
 fuzz-smoke:
 	$(GO) test ./internal/alloc/ -fuzz FuzzArenaSetGet -fuzztime 10s
 	$(GO) test ./internal/persist/ -fuzz FuzzDecodeSnapshotV2 -fuzztime 10s
 	$(GO) test ./internal/persist/ -fuzz FuzzDecodePositionRecord -fuzztime 10s
 	$(GO) test ./internal/persist/ -fuzz FuzzDecodeRecord -fuzztime 10s
+	$(GO) test ./internal/kvserver/ -run '^$$' -fuzz '^FuzzParseSyncArgs$$' -fuzztime 10s
+	$(GO) test ./internal/kvserver/ -run '^$$' -fuzz '^FuzzParseSyncReply$$' -fuzztime 10s
+	$(GO) test ./internal/kvserver/ -run '^$$' -fuzz '^FuzzParseTenantCommand$$' -fuzztime 10s

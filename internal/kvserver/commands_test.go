@@ -40,33 +40,57 @@ func TestAddReplace(t *testing.T) {
 	}
 }
 
+// TestAppendPrepend pins memcached's concatenation semantics on every
+// layout: append/prepend need an existing key, join the bytes, and keep the
+// item's own flags, cost and deadline — the command's flags and exptime are
+// ignored, so an exptime of -1 does not expire the key and 0 does not make a
+// TTL'd key immortal.
 func TestAppendPrepend(t *testing.T) {
-	s := startServer(t, Config{MemoryBytes: 1 << 20})
-	c := dial(t, s)
-
-	if ok, err := c.Append("k", []byte("x")); err != nil || ok {
-		t.Fatalf("Append(missing) = %v, %v", ok, err)
-	}
-	if err := c.Set("k", []byte("mid"), 9, 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := c.Append("k", []byte("-end")); err != nil || !ok {
-		t.Fatalf("Append = %v, %v", ok, err)
-	}
-	if ok, err := c.Prepend("k", []byte("start-")); err != nil || !ok {
-		t.Fatalf("Prepend = %v, %v", ok, err)
-	}
-	v, ok, err := c.Get("k")
-	if err != nil || !ok || string(v) != "start-mid-end" {
-		t.Fatalf("Get = %q, %v, %v", v, ok, err)
-	}
-	// Flags and cost survive concatenation.
-	line, _, err := c.Debug("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "cost=42") || !strings.Contains(line, "flags=9") {
-		t.Fatalf("metadata lost on append/prepend: %q", line)
+	for _, cfg := range layoutConfigs(1 << 21) {
+		t.Run(cfg.Mode, func(t *testing.T) {
+			s := startServer(t, cfg)
+			c := dial(t, s)
+			if ok, err := c.Append("k", []byte("x")); err != nil || ok {
+				t.Fatalf("Append(missing) = %v, %v", ok, err)
+			}
+			if err := c.Set("k", []byte("mid"), 9, 3600, 42); err != nil {
+				t.Fatal(err)
+			}
+			deadline := func() int64 {
+				sh := s.shardFor("k")
+				sh.mu.Lock()
+				defer sh.mu.Unlock()
+				if it, ok := sh.store.items["k"]; ok {
+					return it.deadline
+				}
+				return -1
+			}
+			want := deadline()
+			if want <= 0 {
+				t.Fatalf("set with exptime 3600 left deadline %d", want)
+			}
+			conn := rawDial(t, s)
+			defer conn.Close()
+			for _, cmd := range []string{"append k 7 -1 4\r\n-end", "prepend k 7 0 6\r\nstart-"} {
+				if got := sendLine(t, conn, cmd); got != "STORED" {
+					t.Fatalf("%q = %q, want STORED", cmd, got)
+				}
+				if got := deadline(); got != want {
+					t.Fatalf("after %q: deadline %d, want %d", cmd, got, want)
+				}
+			}
+			v, ok, err := c.Get("k")
+			if err != nil || !ok || string(v) != "start-mid-end" {
+				t.Fatalf("Get = %q, %v, %v", v, ok, err)
+			}
+			line, _, err := c.Debug("k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(line, "cost=42") || !strings.Contains(line, "flags=9") {
+				t.Fatalf("metadata lost on append/prepend: %q", line)
+			}
+		})
 	}
 }
 

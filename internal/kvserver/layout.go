@@ -111,7 +111,8 @@ func (s *Server) openPersistence() error {
 						sh.replPos = persist.Position{}
 					}
 				}
-				return sh.store.restore(op)
+				sh.store.apply(op)
+				return nil
 			}
 			mgr, rec, err := persist.Open(persist.Options{
 				Dir:        filepath.Join(p.Dir, shardDirName(i)),
@@ -194,9 +195,7 @@ func (s *Server) migrate(dir string, legacy bool, oldIdx []int) error {
 					if op.Key != "" && !keyInTenant(op.Key, k) {
 						continue // tenant-scoped flush leaves other namespaces
 					}
-					if err := s.shardFor(k).store.restore(persist.Op{Kind: persist.KindDelete, Key: k}); err != nil {
-						return err
-					}
+					s.shardFor(k).store.apply(persist.Op{Kind: persist.KindDelete, Key: k})
 					delete(applied, k)
 				}
 				return nil
@@ -204,9 +203,7 @@ func (s *Server) migrate(dir string, legacy bool, oldIdx []int) error {
 				// Tenant records have no key to route by: every new shard
 				// learns the tenant and its quota, like scale records.
 				for _, sh := range s.shards {
-					if err := sh.store.restore(op); err != nil {
-						return err
-					}
+					sh.store.apply(op)
 				}
 				return nil
 			case persist.KindScale:
@@ -214,9 +211,7 @@ func (s *Server) migrate(dir string, legacy bool, oldIdx []int) error {
 				// shard inherits the source's learned scale (it only
 				// widens, so overlapping sources compose).
 				for _, sh := range s.shards {
-					if err := sh.store.restore(op); err != nil {
-						return err
-					}
+					sh.store.apply(op)
 				}
 				return nil
 			case persist.KindPosition:
@@ -228,7 +223,8 @@ func (s *Server) migrate(dir string, legacy bool, oldIdx []int) error {
 			case persist.KindDelete:
 				delete(applied, op.Key)
 			}
-			return s.shardFor(op.Key).store.restore(op)
+			s.shardFor(op.Key).store.apply(op)
+			return nil
 		}
 		if _, err := persist.RecoverDir(src, s.cfg.Persist.Logf, apply); err != nil {
 			return fmt.Errorf("kvserver: migrate: recover %s: %w", src, err)

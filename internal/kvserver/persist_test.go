@@ -3,6 +3,7 @@ package kvserver
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -53,10 +54,13 @@ func totalCompactions(s *Server) uint64 {
 	return n
 }
 
-// TestCrashRecoveryRandomizedMix is the acceptance test: a randomized mix of
-// sets (with explicit costs), deletes and touches against an AOF-enabled
-// server, a hard stop with no graceful shutdown, and a recovery that must
-// reproduce every acknowledged mutation — value, flags, expiry and cost.
+// TestCrashRecoveryRandomizedMix is the acceptance test for the write path:
+// on every layout, a randomized mix of every keyed write — set, add,
+// replace, append, prepend, incr, decr, delete and touch, with explicit
+// costs — plus one flush_all partway through (scoped to a tenant where the
+// layout has tenancy) runs against an AOF-enabled server. After a hard stop
+// with no graceful shutdown, recovery must reproduce every acknowledged
+// mutation: value, flags, expiry and cost.
 func TestCrashRecoveryRandomizedMix(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -68,80 +72,107 @@ func TestCrashRecoveryRandomizedMix(t *testing.T) {
 		{name: "with-compactions", aofLimit: 4 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			pcfg := func() *PersistConfig {
-				return &PersistConfig{
-					Dir:      dir,
-					Fsync:    persist.FsyncAlways,
-					AOFLimit: tc.aofLimit,
-					Logf:     t.Logf,
-				}
-			}
-			cfg := Config{
-				MemoryBytes: 8 << 20, // ample: every acknowledged set stays resident
-				Policy:      "camp",
-				DisableIQ:   true,
-				Persist:     pcfg(),
-			}
-			s1 := startServer(t, cfg)
-			c := dial(t, s1)
+			// Capacity is ample: every acknowledged set stays resident.
+			for _, cfg := range layoutConfigs(8 << 20) {
+				t.Run(cfg.Mode, func(t *testing.T) {
+					dir := t.TempDir()
+					pcfg := func() *PersistConfig {
+						return &PersistConfig{
+							Dir:      dir,
+							Fsync:    persist.FsyncAlways,
+							AOFLimit: tc.aofLimit,
+							Logf:     t.Logf,
+						}
+					}
+					cfg.Persist = pcfg()
+					s1 := startServer(t, cfg)
+					clients := []*kvclient.Client{dial(t, s1)}
+					if s1.caps.tenancy {
+						ct := dial(t, s1)
+						if err := ct.Tenant("t1"); err != nil {
+							t.Fatal(err)
+						}
+						clients = append(clients, ct)
+					}
+					runWriteMix(t, clients, 2000)
+					want := captureState(s1)
+					if len(want) == 0 {
+						t.Fatal("test produced no resident items")
+					}
+					s1.Kill() // crash: no persistence flush, no final snapshot
 
-			rng := rand.New(rand.NewSource(42))
-			keys := make([]string, 200)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("key-%03d", i)
-			}
-			for i := 0; i < 2000; i++ {
-				key := keys[rng.Intn(len(keys))]
-				switch op := rng.Intn(10); {
-				case op < 6: // set with an explicit cost
-					val := []byte(fmt.Sprintf("val-%d-%d", i, rng.Int63()))
-					ttl := int64(0)
-					if rng.Intn(3) == 0 {
-						ttl = int64(3600 + rng.Intn(3600))
-					}
-					if err := c.Set(key, val, uint32(rng.Intn(1<<16)), ttl, int64(1+rng.Intn(10000))); err != nil {
+					cfg.Persist = pcfg()
+					s2, err := New(cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
-				case op < 8: // delete
-					if _, err := c.Delete(key); err != nil {
-						t.Fatal(err)
+					defer s2.Close()
+					assertStateEqual(t, want, captureState(s2))
+					if tc.aofLimit > 0 && s2.recovered.SnapshotOps == 0 {
+						t.Fatal("compaction run recovered nothing from a snapshot")
 					}
-				default: // touch
-					if _, err := c.Touch(key, int64(1800+rng.Intn(1800))); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			want := captureState(s1)
-			if len(want) == 0 {
-				t.Fatal("test produced no resident items")
-			}
-			s1.Kill() // crash: no persistence flush, no final snapshot
-
-			cfg.Persist = pcfg()
-			s2, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			got := captureState(s2)
-			if len(got) != len(want) {
-				t.Fatalf("recovered %d items, want %d", len(got), len(want))
-			}
-			for key, w := range want {
-				g, ok := got[key]
-				if !ok {
-					t.Fatalf("key %q lost in recovery", key)
-				}
-				if g != w {
-					t.Fatalf("key %q: recovered %+v, want %+v", key, g, w)
-				}
-			}
-			if tc.aofLimit > 0 && s2.recovered.SnapshotOps == 0 {
-				t.Fatal("compaction run recovered nothing from a snapshot")
+				})
 			}
 		})
+	}
+}
+
+// runWriteMix drives a seeded random mix of every keyed write through the
+// clients (the last one issues the flush_all at the halfway step, so on a
+// tenant connection the flush is tenant-scoped). Keys ctr-NN hold numbers
+// and take incr/decr; the others take append/prepend.
+func runWriteMix(t *testing.T, clients []*kvclient.Client, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < steps; i++ {
+		if i == steps/2 {
+			if err := clients[len(clients)-1].FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := clients[rng.Intn(len(clients))]
+		counter := rng.Intn(4) == 0
+		key := fmt.Sprintf("key-%03d", rng.Intn(150))
+		val := []byte(fmt.Sprintf("val-%d-%d", i, rng.Int63()))
+		if counter {
+			key = fmt.Sprintf("ctr-%02d", rng.Intn(50))
+			val = strconv.AppendInt(nil, rng.Int63n(1e6), 10)
+		}
+		flags := uint32(rng.Intn(1 << 16))
+		ttl := int64(0)
+		if rng.Intn(3) == 0 {
+			ttl = int64(3600 + rng.Intn(3600))
+		}
+		cost := int64(1 + rng.Intn(10000))
+		var err error
+		switch op := rng.Intn(20); {
+		case op < 7:
+			err = c.Set(key, val, flags, ttl, cost)
+		case op < 9:
+			_, err = c.Add(key, val, flags, ttl, cost)
+		case op < 11:
+			_, err = c.Replace(key, val, flags, ttl, cost)
+		case op < 13 && counter:
+			if op == 11 {
+				_, _, err = c.Incr(key, uint64(rng.Intn(1000)))
+			} else {
+				_, _, err = c.Decr(key, uint64(rng.Intn(1000)))
+			}
+		case op < 13:
+			suffix := []byte(fmt.Sprintf("+%d", i))
+			if op == 11 {
+				_, err = c.Append(key, suffix)
+			} else {
+				_, err = c.Prepend(key, suffix)
+			}
+		case op < 17:
+			_, err = c.Delete(key)
+		default:
+			_, err = c.Touch(key, int64(1800+rng.Intn(1800)))
+		}
+		if err != nil {
+			t.Fatalf("step %d on %q: %v", i, key, err)
+		}
 	}
 }
 

@@ -77,6 +77,25 @@ func (cs *connState) nsKeyFor(key []byte) []byte {
 	return b
 }
 
+// reply writes one reply unless the command carried noreply, which
+// suppresses its success and error replies alike, as memcached does.
+func (cs *connState) reply(noreply bool, b []byte) error {
+	if noreply {
+		return nil
+	}
+	_, err := cs.w.Write(b)
+	return err
+}
+
+// cutNoreply strips a trailing "noreply" token from a mutating command's
+// arguments.
+func cutNoreply(args [][]byte) ([][]byte, bool) {
+	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
+		return args[:n-1], true
+	}
+	return args, false
+}
+
 // keyPrefixLen is how many namespace bytes prefix this connection's stored
 // keys — what VALUE lines strip so clients see the keys they sent.
 func (cs *connState) keyPrefixLen() int {

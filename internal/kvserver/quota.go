@@ -117,9 +117,5 @@ func (s *Server) shedOp(cs *connState, t *tenant, now time.Time, nbytes int64, n
 		return false, nil
 	}
 	t.quotaShed.Add(1)
-	if noreply {
-		return true, nil
-	}
-	_, err = cs.w.Write(replyOverQuota)
-	return true, err
+	return true, cs.reply(noreply, replyOverQuota)
 }

@@ -286,7 +286,7 @@ func (f *feedFilter) keeps(op persist.Op) bool {
 		return false
 	case persist.KindScale:
 		// The adaptive scale only ever widens, so it is safe — and needed —
-		// in every subset (mirrors restore's KindScale handling).
+		// in every subset (mirrors apply's KindScale handling).
 		return true
 	case persist.KindFlush:
 		// Keyless flushes clear every namespace, the subset's included.
@@ -1060,7 +1060,8 @@ func (sr *shardReplica) bootstrap(r io.Reader, size int64) error {
 		return err
 	}
 	if size > 0 {
-		if _, err := persist.ReadSnapshot(io.LimitReader(r, size), staged.restore); err != nil {
+		apply := func(op persist.Op) error { staged.apply(op); return nil }
+		if _, err := persist.ReadSnapshot(io.LimitReader(r, size), apply); err != nil {
 			return err
 		}
 	}
@@ -1115,7 +1116,7 @@ func (sr *shardReplica) apply(op persist.Op, pos persist.Position) {
 		batch = append(batch, op)
 	}
 	sh.mu.Lock()
-	sh.store.restore(op)
+	sh.store.apply(op)
 	switch {
 	case sh.canPersistPosLocked():
 		batch = append(batch, persist.Op{Kind: persist.KindPosition, Pos: pos})

@@ -125,6 +125,16 @@ func TestGracefulDrainPipelinedNoreply(t *testing.T) {
 
 	conn := rawDial(t, s)
 	defer conn.Close()
+	// One round trip first: a shutdown that lands before the server has
+	// accepted the connection closes the listener and resets it, which is
+	// not the in-flight pipeline this test is about.
+	r := bufio.NewReader(conn)
+	if _, err := conn.Write([]byte("version\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION") {
+		t.Fatalf("reply before shutdown = %q, %v; want VERSION", line, err)
+	}
 
 	const n = 2000
 	var pipe bytes.Buffer
@@ -151,7 +161,6 @@ func TestGracefulDrainPipelinedNoreply(t *testing.T) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	r := bufio.NewReader(conn)
 	line, err := r.ReadString('\n')
 	if err != nil || !strings.HasPrefix(line, "VERSION") {
 		t.Fatalf("trailing reply = %q, %v; want VERSION", line, err)

@@ -45,6 +45,16 @@
 // snapshot itself is serialized and written unlocked, so compaction never
 // stalls more than the one shard, and only for the in-memory copy-out.
 //
+// Every keyed write takes one path: verb → gate → apply → journal. dispatch
+// resolves the verb (verbID) once from the command token, and the handler
+// parses only its own arguments. gateWrite checks key validity, the replica
+// gate and the tenant quota, in that order, then counts the verb and routes
+// the key's shard. Under the shard lock, shard.write lets the verb's own
+// semantics (storeLocked, arithLocked) build the final persist.Op, applies
+// it through store.apply — the function journal recovery, replication and
+// migration replay through — and journals it. A client write and its replay
+// run the same code; flush_all and tenant records commit the same way.
+//
 // The request loop is allocation-free on the steady state: command lines are
 // read with a zero-copy line reader and tokenized in place, integers parse
 // straight from the wire bytes, per-connection scratch (token slots, hit
@@ -797,7 +807,7 @@ func (s *Server) dispatch(line []byte, cs *connState) (quit bool, fatal error) {
 	}
 	v := verbOf(toks[0])
 	if v == verbNone {
-		return s.dispatchCmd(toks, cs)
+		return s.dispatchCmd(v, toks, cs)
 	}
 	cs.shardIdx = -1
 	if len(toks) > 1 {
@@ -806,37 +816,30 @@ func (s *Server) dispatch(line []byte, cs *connState) (quit bool, fatal error) {
 		cs.slowKey = cs.slowKey[:0]
 	}
 	start := time.Now()
-	quit, fatal = s.dispatchCmd(toks, cs)
+	quit, fatal = s.dispatchCmd(v, toks, cs)
 	s.observe(v, cs.shardIdx, cs.slowKey, time.Since(start), start)
 	return quit, fatal
 }
 
-// dispatchCmd routes one tokenized command to its handler.
-func (s *Server) dispatchCmd(toks [][]byte, cs *connState) (quit bool, fatal error) {
+// dispatchCmd routes one tokenized command to its handler: the keyed verbs
+// by the verb dispatch already resolved, the rest by name.
+func (s *Server) dispatchCmd(v verbID, toks [][]byte, cs *connState) (quit bool, fatal error) {
 	if s.testHookCmd != nil {
 		s.testHookCmd(toks)
 	}
-	switch string(toks[0]) {
-	case "get", "gets":
+	switch v {
+	case verbGet:
 		return false, s.handleGet(toks[1:], cs)
-	case "set":
-		return false, s.handleStore(cmdSet, toks[1:], cs)
-	case "add":
-		return false, s.handleStore(cmdAdd, toks[1:], cs)
-	case "replace":
-		return false, s.handleStore(cmdReplace, toks[1:], cs)
-	case "append":
-		return false, s.handleStore(cmdAppend, toks[1:], cs)
-	case "prepend":
-		return false, s.handleStore(cmdPrepend, toks[1:], cs)
-	case "incr":
-		return false, s.handleArith(true, toks[1:], cs)
-	case "decr":
-		return false, s.handleArith(false, toks[1:], cs)
-	case "touch":
+	case verbSet, verbAdd, verbReplace, verbAppend, verbPrepend:
+		return false, s.handleStore(v, toks[1:], cs)
+	case verbIncr, verbDecr:
+		return false, s.handleArith(v, toks[1:], cs)
+	case verbTouch:
 		return false, s.handleTouch(toks[1:], cs)
-	case "delete":
+	case verbDelete:
 		return false, s.handleDelete(toks[1:], cs)
+	}
+	switch string(toks[0]) {
 	case "stats":
 		return false, s.handleStats(toks[1:], cs)
 	case "slowlog":
@@ -881,17 +884,13 @@ func (s *Server) dispatchCmd(toks [][]byte, cs *connState) (quit bool, fatal err
 
 // rejectReadOnly answers a mutating command on a replica: rejected reports
 // whether the caller must stop (the write was refused), and — as with every
-// error reply — noreply suppresses the SERVER_ERROR line. The one gate for
-// every mutating verb, so the noreply subtlety lives in one place.
+// error reply — noreply suppresses the SERVER_ERROR line. gateWrite and
+// flush_all are its callers.
 func (s *Server) rejectReadOnly(cs *connState, noreply bool) (rejected bool, err error) {
 	if !s.readOnly.Load() {
 		return false, nil
 	}
-	if noreply {
-		return true, nil
-	}
-	_, err = cs.w.Write(replyReadOnly)
-	return true, err
+	return true, cs.reply(noreply, replyReadOnly)
 }
 
 // handleFlushAll empties every shard — all of it when t is nil (the
@@ -903,22 +902,23 @@ func (s *Server) rejectReadOnly(cs *connState, noreply bool) (rejected bool, err
 // single atomic point — a concurrent writer may land a set on an
 // already-flushed shard — matching multi-node memcached semantics.
 func (s *Server) handleFlushAll(t *tenant) {
+	op := persist.Op{Kind: persist.KindFlush}
+	if t != nil {
+		op.Key = t.name
+	}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if t == nil {
-			sh.store.flush()
-			sh.missedAt = make(map[string]time.Time)
-			sh.journalLocked(persist.Op{Kind: persist.KindFlush})
-		} else {
-			sh.store.flushTenant(t.name)
-			for k := range sh.missedAt {
-				if tenantOwnsKey(t, k) {
-					delete(sh.missedAt, k)
+		sh.write(0, func() persist.Op {
+			if t == nil {
+				sh.missedAt = make(map[string]time.Time)
+			} else {
+				for k := range sh.missedAt {
+					if tenantOwnsKey(t, k) {
+						delete(sh.missedAt, k)
+					}
 				}
 			}
-			sh.journalLocked(persist.Op{Kind: persist.KindFlush, Key: t.name})
-		}
-		sh.mu.Unlock()
+			return op
+		})
 		// Compact synchronously (off-lock) so the truncated journal is on
 		// disk by the time the client sees OK, as before sharding.
 		sh.compact()
@@ -937,7 +937,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 	// tenant (pooled scratch, no allocation); a key containing the NUL
 	// namespace delimiter could forge another tenant's prefix, so it is
 	// answered as a miss without touching the store.
-	s.counters.cmdGet.Add(1)
+	s.counters.cmds[verbGet].Add(1)
 	tn := s.tenantOf(cs)
 	pfx := cs.keyPrefixLen()
 	cs.shardIdx = shardIndex(cs.nsKeyFor(keys[0]), len(s.shards))
@@ -1035,13 +1035,8 @@ func appendValueHeader(out []byte, key string, flags uint32, n int) []byte {
 // bytes would be misread as command lines. When <bytes> itself is missing
 // or unparsable the payload length is unknown, resynchronization is
 // impossible, and the connection closes after the reply, as memcached does.
-func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
-	w := cs.w
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+func (s *Server) handleStore(v verbID, args [][]byte, cs *connState) error {
+	args, noreply := cutNoreply(args)
 	var nbytes int64 = -1
 	if len(args) >= 4 {
 		if v, ok := proto.ParseInt(args[3]); ok && v >= 0 {
@@ -1049,20 +1044,20 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 		}
 	}
 	if len(args) != 4 && len(args) != 5 {
-		return s.storeError(cs, cmd, nbytes, noreply, "command")
+		return s.storeError(cs, v, nbytes, noreply, "command")
 	}
 	if nbytes < 0 {
-		return s.storeError(cs, cmd, nbytes, noreply, "arguments")
+		return s.storeError(cs, v, nbytes, noreply, "arguments")
 	}
 	flags, okFlags := proto.ParseUint32(args[1])
-	ttl, okTTL := proto.ParseInt(args[2])
+	exptime, okExptime := proto.ParseInt(args[2])
 	var cost int64
 	okCost := true
 	if len(args) == 5 {
 		cost, okCost = proto.ParseInt(args[4])
 	}
-	if !okFlags || !okTTL || !okCost || cost < 0 {
-		return s.storeError(cs, cmd, nbytes, noreply, "arguments")
+	if !okFlags || !okExptime || !okCost || cost < 0 {
+		return s.storeError(cs, v, nbytes, noreply, "arguments")
 	}
 	if nbytes > s.cfg.MaxValueBytes {
 		// Drain and discard the payload to keep the stream in sync.
@@ -1070,23 +1065,11 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 		if err != nil {
 			return err
 		}
-		if !noreply {
-			reply := replyTooLarge
-			if badChunk {
-				reply = replyBadDataChunk
-			}
-			if _, err := w.Write(reply); err != nil {
-				return err
-			}
-		}
 		if badChunk {
+			cs.reply(noreply, replyBadDataChunk)
 			return errCloseConn
 		}
-		return nil
-	}
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		// A NUL could forge another tenant's namespace prefix.
-		return s.storeError(cs, cmd, nbytes, noreply, "key")
+		return cs.reply(noreply, replyTooLarge)
 	}
 	// The tokens alias the read buffer: copy the (namespaced) key into
 	// pooled scratch before the payload read below invalidates them. No
@@ -1118,38 +1101,60 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 		// The terminator bytes were garbage; the stream position is
 		// unknowable, so report (noreply suppresses even this, as
 		// memcached's out_string does) and close.
-		if !noreply {
-			w.Write(replyBadDataChunk)
-		}
+		cs.reply(noreply, replyBadDataChunk)
 		return errCloseConn
 	}
 
-	// The payload is consumed (stream aligned) before the replica gate and
-	// the quota gate, so a rejected or shed write never desynchronizes the
-	// connection.
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-
+	// The payload is consumed (stream aligned) before the gates, so a
+	// refused write never desynchronizes the connection.
 	now := time.Now()
-	tn := s.tenantOf(cs)
-	if shed, err := s.shedOp(cs, tn, now, nbytes, noreply); shed || err != nil {
+	sh, err := s.gateWrite(v, cs.keyBuf, nbytes, noreply, now, cs)
+	if sh == nil {
 		return err
 	}
-	s.counters.storeCounter(cmd).Add(1)
-	sh := s.shardForOpBytes(cs.keyBuf, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	reply := sh.storeLocked(cmd, cs.keyBuf, value, flags, ttl, cost, now)
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	tn.quota.releaseBytes(nbytes)
-
-	if noreply {
-		return nil
+	var reply []byte
+	stored := sh.write(now.UnixNano(), func() (op persist.Op) {
+		op, reply = sh.storeLocked(v, cs.keyBuf, value, flags, exptime, cost, now)
+		return op
+	})
+	s.tenantOf(cs).quota.releaseBytes(nbytes)
+	if reply == nil {
+		reply = replyStored
+		if !stored {
+			reply = replyOOM
+		}
 	}
-	_, err := w.Write(reply)
-	return err
+	return cs.reply(noreply, reply)
+}
+
+// gateWrite runs the gates every keyed write passes, in this order: key
+// validity (a NUL could forge another tenant's namespace prefix, so it is a
+// client error on any role), then the replica gate, then the tenant quota.
+// nsKey is the key in namespaced form; nbytes is the payload a store
+// carries, 0 for the other verbs. On pass it counts the verb and routes the
+// key's shard, recording it in cs.shardIdx so dispatch can charge the
+// shard's latency histogram. A nil shard means the write was refused and
+// its reply, unless noreply, written.
+func (s *Server) gateWrite(v verbID, nsKey []byte, nbytes int64, noreply bool, now time.Time, cs *connState) (*shard, error) {
+	if bytes.IndexByte(nsKey[cs.keyPrefixLen():], 0) >= 0 {
+		reply := replyBadKey
+		if v >= verbSet && v <= verbPrepend {
+			// Storage verbs name themselves, as in their other grammar
+			// errors.
+			cs.out = appendClientError(cs.out[:0], "bad", verbNames[v], "key")
+			reply = cs.out
+		}
+		return nil, cs.reply(noreply, reply)
+	}
+	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
+		return nil, err
+	}
+	if shed, err := s.shedOp(cs, s.tenantOf(cs), now, nbytes, noreply); shed || err != nil {
+		return nil, err
+	}
+	s.counters.cmds[v].Add(1)
+	cs.shardIdx = shardIndex(nsKey, len(s.shards))
+	return s.shards[cs.shardIdx], nil
 }
 
 // storeError reports a malformed storage command. With a parsed <bytes> the
@@ -1157,7 +1162,7 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 // the connection must close (errCloseConn) because the stream cannot be
 // resynchronized. A drained payload whose own terminator is garbage also
 // closes the connection, for the same reason.
-func (s *Server) storeError(cs *connState, cmd storeCmd, nbytes int64, noreply bool, what string) error {
+func (s *Server) storeError(cs *connState, v verbID, nbytes int64, noreply bool, what string) error {
 	badChunk := false
 	if nbytes >= 0 {
 		var err error
@@ -1166,11 +1171,9 @@ func (s *Server) storeError(cs *connState, cmd storeCmd, nbytes int64, noreply b
 			return err
 		}
 	}
-	if !noreply {
-		cs.out = appendClientError(cs.out[:0], "bad", cmd.String(), what)
-		if _, err := cs.w.Write(cs.out); err != nil {
-			return err
-		}
+	cs.out = appendClientError(cs.out[:0], "bad", verbNames[v], what)
+	if err := cs.reply(noreply, cs.out); err != nil {
+		return err
 	}
 	if nbytes < 0 || badChunk {
 		return errCloseConn
@@ -1223,196 +1226,86 @@ func readDataTerminator(r *bufio.Reader) error {
 }
 
 // handleArith covers incr/decr: <cmd> <key> <delta> [noreply].
-func (s *Server) handleArith(incr bool, args [][]byte, cs *connState) error {
-	w := cs.w
-	name := "decr"
-	if incr {
-		name = "incr"
-	}
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+func (s *Server) handleArith(v verbID, args [][]byte, cs *connState) error {
+	args, noreply := cutNoreply(args)
 	if len(args) != 2 {
-		if noreply {
-			return nil
-		}
-		cs.out = appendClientError(cs.out[:0], "bad", name, "command")
-		_, err := w.Write(cs.out)
-		return err
+		cs.out = appendClientError(cs.out[:0], "bad", verbNames[v], "command")
+		return cs.reply(noreply, cs.out)
 	}
 	delta, ok := proto.ParseUint(args[1])
 	if !ok {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadDelta)
-		return err
+		return cs.reply(noreply, replyBadDelta)
 	}
-	// Key validity before the replica gate, matching handleStore's ordering:
-	// a malformed key is a client error on any role.
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadKey)
-		return err
-	}
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-	key := string(cs.nsKeyFor(args[0]))
 	now := time.Now()
-	if shed, err := s.shedOp(cs, s.tenantOf(cs), now, 0, noreply); shed || err != nil {
+	nk := cs.nsKeyFor(args[0])
+	sh, err := s.gateWrite(v, nk, 0, noreply, now, cs)
+	if sh == nil {
 		return err
 	}
-	if incr {
-		s.counters.cmdIncr.Add(1)
-	} else {
-		s.counters.cmdDecr.Add(1)
+	key, nowNano := string(nk), now.UnixNano()
+	var (
+		val   uint64
+		reply []byte
+	)
+	stored := sh.write(nowNano, func() (op persist.Op) {
+		op, val, reply = sh.arithLocked(v == verbIncr, key, delta, nowNano)
+		return op
+	})
+	if reply == nil && !stored {
+		reply = replyOOM
 	}
-	sh := s.shardForOp(key, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	val, reply := sh.arithLocked(incr, key, delta, now)
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	if noreply {
-		return nil
+	if reply == nil {
+		cs.out = append(strconv.AppendUint(cs.out[:0], val, 10), '\r', '\n')
+		reply = cs.out
 	}
-	if reply != nil {
-		_, err := w.Write(reply)
-		return err
-	}
-	out := strconv.AppendUint(cs.out[:0], val, 10)
-	out = append(out, '\r', '\n')
-	cs.out = out
-	_, err := w.Write(out)
-	return err
+	return cs.reply(noreply, reply)
 }
 
 // handleTouch covers touch <key> <exptime> [noreply].
 func (s *Server) handleTouch(args [][]byte, cs *connState) error {
-	w := cs.w
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+	args, noreply := cutNoreply(args)
 	if len(args) != 2 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadTouch)
-		return err
+		return cs.reply(noreply, replyBadTouch)
 	}
-	ttl, ok := proto.ParseInt(args[1])
+	exptime, ok := proto.ParseInt(args[1])
 	if !ok {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadExptime)
-		return err
+		return cs.reply(noreply, replyBadExptime)
 	}
-	// Key validity before the replica gate, matching handleStore/handleArith:
-	// a malformed key is a client error on any role. (touch used to gate the
-	// other way around, so a replica leaked its role to a NUL-forged key.)
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadKey)
-		return err
-	}
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-	key := string(cs.nsKeyFor(args[0]))
 	now := time.Now()
-	if shed, err := s.shedOp(cs, s.tenantOf(cs), now, 0, noreply); shed || err != nil {
+	nk := cs.nsKeyFor(args[0])
+	sh, err := s.gateWrite(verbTouch, nk, 0, noreply, now, cs)
+	if sh == nil {
 		return err
 	}
-	s.counters.cmdTouch.Add(1)
-	sh := s.shardForOp(key, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	// The incremental expiry sweep every mutating path pays, so a
-	// touch-heavy workload reclaims dead items too.
-	nowNano := now.UnixNano()
-	sh.store.sweepExpired(nowNano, expirySweepProbes)
-	it, found := sh.store.get(key, nowNano)
-	if found {
-		sh.store.touch(it, expiryFrom(ttl, nowNano))
-		sh.journalLocked(persist.Op{
-			Kind:    persist.KindTouch,
-			Key:     key,
-			Expires: it.deadline,
-		})
+	key, nowNano := string(nk), now.UnixNano()
+	touched := sh.write(nowNano, func() persist.Op {
+		if _, live := sh.store.get(key, nowNano); !live {
+			return persist.Op{}
+		}
+		return persist.Op{Kind: persist.KindTouch, Key: key, Expires: expiryFrom(exptime, nowNano)}
+	})
+	if !touched {
+		return cs.reply(noreply, replyNotFound)
 	}
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	if noreply {
-		return nil
-	}
-	reply := replyNotFound
-	if found {
-		reply = replyTouched
-	}
-	_, err := w.Write(reply)
-	return err
+	return cs.reply(noreply, replyTouched)
 }
 
+// handleDelete covers delete <key> [noreply].
 func (s *Server) handleDelete(args [][]byte, cs *connState) error {
-	w := cs.w
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+	args, noreply := cutNoreply(args)
 	if len(args) != 1 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadDelete)
+		return cs.reply(noreply, replyBadDelete)
+	}
+	nk := cs.nsKeyFor(args[0])
+	sh, err := s.gateWrite(verbDelete, nk, 0, noreply, time.Now(), cs)
+	if sh == nil {
 		return err
 	}
-	// Key validity before the replica gate (same order as handleStore,
-	// handleArith and handleTouch): a malformed key is a client error on any
-	// role.
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadKey)
-		return err
+	op := persist.Op{Kind: persist.KindDelete, Key: string(nk)}
+	if !sh.write(0, func() persist.Op { return op }) {
+		return cs.reply(noreply, replyNotFound)
 	}
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-	key := string(cs.nsKeyFor(args[0]))
-	if shed, err := s.shedOp(cs, s.tenantOf(cs), time.Now(), 0, noreply); shed || err != nil {
-		return err
-	}
-	s.counters.cmdDelete.Add(1)
-	sh := s.shardForOp(key, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	ok := sh.store.delete(key)
-	if ok {
-		sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
-	}
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	if noreply {
-		return nil
-	}
-	reply := replyNotFound
-	if ok {
-		reply = replyDeleted
-	}
-	_, err := w.Write(reply)
-	return err
+	return cs.reply(noreply, replyDeleted)
 }
 
 func (s *Server) handleStats(args [][]byte, cs *connState) error {

@@ -51,36 +51,6 @@ var (
 	crlf               = []byte("\r\n")
 )
 
-// storeCmd enumerates the storage verbs so dispatch resolves the command
-// once, from the wire bytes, and the handlers never re-compare strings.
-type storeCmd uint8
-
-const (
-	cmdSet storeCmd = iota
-	cmdAdd
-	cmdReplace
-	cmdAppend
-	cmdPrepend
-)
-
-// String returns the protocol verb (a constant, so error formatting stays
-// allocation-free).
-func (c storeCmd) String() string {
-	switch c {
-	case cmdSet:
-		return "set"
-	case cmdAdd:
-		return "add"
-	case cmdReplace:
-		return "replace"
-	case cmdAppend:
-		return "append"
-	case cmdPrepend:
-		return "prepend"
-	}
-	return "store"
-}
-
 // shard is one independent slice of the server: its own store (policy,
 // allocator, items map), its own IQ miss table, its own mutex, and — when
 // persistence is on — its own journal and snapshot generations under
@@ -164,22 +134,6 @@ func (s *Server) shardFor(key string) *shard {
 	return s.shards[shardIndex(key, len(s.shards))]
 }
 
-// shardForOp routes a key and records the shard index in the connection
-// scratch, so dispatch can charge the command to the shard's latency
-// histogram after the handler returns.
-func (s *Server) shardForOp(key string, cs *connState) *shard {
-	i := shardIndex(key, len(s.shards))
-	cs.shardIdx = i
-	return s.shards[i]
-}
-
-// shardForOpBytes is shardForOp for a key still in wire []byte form.
-func (s *Server) shardForOpBytes(key []byte, cs *connState) *shard {
-	i := shardIndex(key, len(s.shards))
-	cs.shardIdx = i
-	return s.shards[i]
-}
-
 func (s *Server) shardForBytes(key []byte) *shard {
 	return s.shards[shardIndex(key, len(s.shards))]
 }
@@ -227,17 +181,54 @@ func (sh *shard) costOfLocked(key string) int64 {
 	return 0
 }
 
-// expirySweepProbes is how many items each mutation probes for lazy expiry
-// (see store.sweepExpired).
+// expirySweepProbes is how many items each sweeping write probes for lazy
+// expiry (see store.sweepExpired).
 const expirySweepProbes = 4
 
-// storeLocked applies one storage command and returns the protocol reply.
-// The key arrives in wire []byte form: the item-map lookup converts in place
+// write is the one path by which anything changes a shard's data: every
+// keyed client write, flush_all and tenant records. Under the shard lock it
+// runs the incremental expiry sweep when sweepAt (Unix nanoseconds) is
+// nonzero, then calls build, which applies the verb's own semantics and
+// returns the final op (a zero Kind writes nothing). The op goes through
+// store.apply — the function recovery, replication and migration replay
+// through — and then into the journal. A set the store cannot place has
+// dropped any old version of the key: it counts in set_rejected, and the
+// journal records that removal in its place, or recovery and replicas would
+// resurrect the old value. The lock hold is sampled into lockHist. applied
+// reports whether the op took effect.
+func (sh *shard) write(sweepAt int64, build func() persist.Op) (applied bool) {
+	sh.mu.Lock()
+	lockStart := time.Now()
+	if sweepAt != 0 {
+		sh.store.sweepExpired(sweepAt, expirySweepProbes)
+	}
+	if op := build(); op.Kind != 0 {
+		_, existed := sh.store.items[op.Key]
+		switch applied = sh.store.apply(op); {
+		case applied:
+			sh.journalLocked(op)
+		case op.Kind == persist.KindSet:
+			sh.srv.counters.setRejected.Add(1)
+			if existed {
+				sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: op.Key})
+			}
+		}
+	}
+	sh.mu.Unlock()
+	sh.lockHist.Observe(time.Since(lockStart))
+	return applied
+}
+
+// storeLocked applies the semantics of one storage verb and builds the set
+// it commits, or returns the reply for a store that writes nothing. The key
+// arrives in wire []byte form: the item-map lookup converts in place
 // (allocation-free), an overwrite reuses the resident item's interned key
-// string, and only a brand-new key materializes one. The caller holds sh.mu.
-func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags uint32, ttl, cost int64, now time.Time) []byte {
+// string, and only a brand-new key materializes one. Append and prepend
+// keep the item's own flags and deadline, as memcached does, and its cost
+// unless the command names one; only the payload grows. The caller holds
+// sh.mu.
+func (sh *shard) storeLocked(v verbID, keyBytes []byte, value []byte, flags uint32, exptime, cost int64, now time.Time) (persist.Op, []byte) {
 	nowNano := now.UnixNano()
-	sh.store.sweepExpired(nowNano, expirySweepProbes)
 	existing, exists := sh.store.items[string(keyBytes)]
 	var key string
 	if exists {
@@ -250,34 +241,34 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 		sh.store.expiredReclaimed++
 		existing, exists = nil, false
 	}
-	switch cmd {
-	case cmdAdd:
+	deadline := expiryFrom(exptime, nowNano)
+	switch v {
+	case verbAdd:
 		if exists {
-			return replyNotStored
+			return persist.Op{}, replyNotStored
 		}
-	case cmdReplace:
+	case verbReplace:
 		if !exists {
-			return replyNotStored
+			return persist.Op{}, replyNotStored
 		}
-	case cmdAppend, cmdPrepend:
+	case verbAppend, verbPrepend:
 		if !exists {
-			return replyNotStored
+			return persist.Op{}, replyNotStored
 		}
-		// Concatenation keeps the existing flags and cost; the payload
-		// just grows. The fresh slice is built while the lock pins the old
-		// bytes, which a relocating layout may move afterwards.
+		// The fresh slice is built while the lock pins the old bytes,
+		// which a relocating layout may move afterwards.
 		old := sh.store.layout.value(existing)
-		if cmd == cmdAppend {
+		if v == verbAppend {
 			value = append(append(make([]byte, 0, len(old)+len(value)), old...), value...)
 		} else {
 			value = append(append(make([]byte, 0, len(old)+len(value)), value...), old...)
 		}
-		flags = existing.flags
+		flags, deadline = existing.flags, existing.deadline
 		// The handler's size gate saw only the delta; the combined value
 		// must honor the limit too. Nothing is journaled and the existing
 		// value stays as it was.
 		if int64(len(value)) > sh.srv.cfg.MaxValueBytes {
-			return replyTooLarge
+			return persist.Op{}, replyTooLarge
 		}
 		if cost == 0 {
 			cost = sh.costOfLocked(key)
@@ -295,18 +286,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 	if cost == 0 {
 		cost = 1
 	}
-	deadline := expiryFrom(ttl, nowNano)
-	if !sh.store.setAbs(key, value, flags, deadline, cost) {
-		sh.srv.counters.setRejected.Add(1)
-		// A failed set drops any existing version of the key (the store
-		// already tore it down to make room); journal that removal, or
-		// recovery and replicas would resurrect the old value.
-		if exists {
-			sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
-		}
-		return replyOOM
-	}
-	sh.journalLocked(persist.Op{
+	return persist.Op{
 		Kind:    persist.KindSet,
 		Key:     key,
 		Value:   value,
@@ -314,51 +294,40 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 		Expires: deadline,
 		Size:    sh.store.itemSize(key, value),
 		Cost:    cost,
-	})
-	return replyStored
+	}, nil
 }
 
-// arithLocked applies incr/decr. A nil reply means success and val is the
-// new value for the caller to format; otherwise reply is the error. The
-// caller holds sh.mu.
-func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time) (val uint64, reply []byte) {
-	sh.store.sweepExpired(now.UnixNano(), expirySweepProbes)
-	it, ok := sh.store.get(key, now.UnixNano())
+// arithLocked applies incr/decr and builds the set it commits: the new
+// value with the item's own flags, deadline and cost, as memcached does.
+// With a nil reply val is the new value for the caller to format;
+// otherwise reply is the error and nothing is written. The caller holds
+// sh.mu.
+func (sh *shard) arithLocked(incr bool, key string, delta uint64, now int64) (op persist.Op, val uint64, reply []byte) {
+	it, ok := sh.store.get(key, now)
 	if !ok {
-		return 0, replyNotFound
+		return op, 0, replyNotFound
 	}
-	cur, perr := strconv.ParseUint(string(sh.store.layout.value(it)), 10, 64)
+	val, perr := strconv.ParseUint(string(sh.store.layout.value(it)), 10, 64)
 	if perr != nil {
-		return 0, replyNonNumeric
+		return op, 0, replyNonNumeric
 	}
 	if incr {
-		cur += delta // wraps at 2^64, as memcached does
-	} else if cur < delta {
-		cur = 0 // decr clamps at zero
+		val += delta // wraps at 2^64, as memcached does
+	} else if val < delta {
+		val = 0 // decr clamps at zero
 	} else {
-		cur -= delta
+		val -= delta
 	}
-	newVal := strconv.AppendUint(nil, cur, 10)
-	cost := sh.costOfLocked(key)
-	// Arithmetic keeps the item's flags and expiration, as memcached does;
-	// only the payload changes.
-	if !sh.store.setAbs(key, newVal, it.flags, it.deadline, cost) {
-		sh.srv.counters.setRejected.Add(1)
-		// The failed rewrite dropped the key (see storeLocked); keep the
-		// journal in step.
-		sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
-		return 0, replyOOM
-	}
-	sh.journalLocked(persist.Op{
+	newVal := strconv.AppendUint(nil, val, 10)
+	return persist.Op{
 		Kind:    persist.KindSet,
 		Key:     key,
 		Value:   newVal,
 		Flags:   it.flags,
 		Expires: it.deadline,
 		Size:    sh.store.itemSize(key, newVal),
-		Cost:    cost,
-	})
-	return cur, nil
+		Cost:    sh.costOfLocked(key),
+	}, val, nil
 }
 
 // journalLocked appends one mutation to this shard's AOF. The caller holds

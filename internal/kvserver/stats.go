@@ -7,12 +7,14 @@ import "sync/atomic"
 // shards: a shard only ever touches its own mutex plus these cache-line
 // increments.
 type counters struct {
-	cmdGet, cmdSet, cmdAdd, cmdReplace, cmdAppend, cmdPrepend atomic.Uint64
-	cmdIncr, cmdDecr, cmdTouch, cmdDelete                     atomic.Uint64
-	getHits, getMisses                                        atomic.Uint64
-	setRejected                                               atomic.Uint64
-	persistErrors, persistSnapshots                           atomic.Uint64
-	replSyncsServed, replFullSyncsServed, replAppliedOps      atomic.Uint64
+	// cmds counts commands by verb, rendered as the cmd_<verb> lines;
+	// verbOther has no counter.
+	cmds [verbOther]atomic.Uint64
+
+	getHits, getMisses                                   atomic.Uint64
+	setRejected                                          atomic.Uint64
+	persistErrors, persistSnapshots                      atomic.Uint64
+	replSyncsServed, replFullSyncsServed, replAppliedOps atomic.Uint64
 
 	// Blast-radius accounting: handler panics recovered (that connection
 	// closed, the server survived) and connections refused at the -max-conns
@@ -25,41 +27,20 @@ type counters struct {
 	totalConns, bytesRead, bytesWritten atomic.Uint64
 }
 
-// storeCounter maps a storage verb to its counter. Unknown verbs never
-// reach it (dispatch filters them).
-func (c *counters) storeCounter(cmd storeCmd) *atomic.Uint64 {
-	switch cmd {
-	case cmdAdd:
-		return &c.cmdAdd
-	case cmdReplace:
-		return &c.cmdReplace
-	case cmdAppend:
-		return &c.cmdAppend
-	case cmdPrepend:
-		return &c.cmdPrepend
-	}
-	return &c.cmdSet
-}
-
-// lines renders the counter STAT lines in a stable order.
+// lines renders the counter STAT lines in a stable order: the cmd_<verb>
+// lines in verbID order, then the rest.
 func (c *counters) lines() []statLine {
-	return []statLine{
-		{"cmd_get", c.cmdGet.Load()},
-		{"cmd_set", c.cmdSet.Load()},
-		{"cmd_add", c.cmdAdd.Load()},
-		{"cmd_replace", c.cmdReplace.Load()},
-		{"cmd_append", c.cmdAppend.Load()},
-		{"cmd_prepend", c.cmdPrepend.Load()},
-		{"cmd_incr", c.cmdIncr.Load()},
-		{"cmd_decr", c.cmdDecr.Load()},
-		{"cmd_touch", c.cmdTouch.Load()},
-		{"cmd_delete", c.cmdDelete.Load()},
-		{"get_hits", c.getHits.Load()},
-		{"get_misses", c.getMisses.Load()},
-		{"set_rejected", c.setRejected.Load()},
-		{"conn_panics", c.connPanics.Load()},
-		{"accept_rejected_maxconns", c.acceptRejected.Load()},
+	lines := make([]statLine, 0, len(c.cmds)+5)
+	for v := range c.cmds {
+		lines = append(lines, statLine{"cmd_" + verbNames[v], c.cmds[v].Load()})
 	}
+	return append(lines,
+		statLine{"get_hits", c.getHits.Load()},
+		statLine{"get_misses", c.getMisses.Load()},
+		statLine{"set_rejected", c.setRejected.Load()},
+		statLine{"conn_panics", c.connPanics.Load()},
+		statLine{"accept_rejected_maxconns", c.acceptRejected.Load()},
+	)
 }
 
 type statLine struct {

@@ -484,25 +484,20 @@ func expiryFrom(exptime, now int64) int64 {
 	}
 }
 
-// setAbs stores a value with an absolute deadline, the form recovery needs:
-// journals record deadlines, not TTLs, so restarts do not extend item
-// lifetimes.
-func (st *store) setAbs(key string, value []byte, flags uint32, deadline, cost int64) bool {
-	return st.setAbsPrio(key, value, flags, deadline, cost, 0, 0, false)
-}
-
-// setAbsPrio is setAbs with an optional pinned eviction-priority offset, the
-// form v2 snapshot replay uses: a KindSetPrio record re-enters the policy at
-// the exact H − L it held when the snapshot was cut, so a mid-churn warm
-// start reproduces the live cross-queue eviction schedule. Policies without
-// priority state (LRU, the slab class LRUs) ignore the offset — replay
-// order alone restores them exactly.
+// set stores a value with an absolute deadline — journals record
+// deadlines, not TTLs, so replay does not extend item lifetimes — and an
+// optional pinned eviction-priority offset, the form v2 snapshot replay
+// uses: a KindSetPrio record re-enters the policy at the exact H − L it held
+// when the snapshot was cut, so a mid-churn warm start reproduces the live
+// cross-queue eviction schedule. Policies without priority state (LRU, the
+// slab class LRUs) ignore the offset — replay order alone restores them
+// exactly.
 //
 // The layout places the value first, with its own pressure loop; then the
 // owning policy admits the charge. A failure at either step drops the entry
 // entirely — the new bytes and whatever old version remained — so memory
-// agrees with the delete the caller journals.
-func (st *store) setAbsPrio(key string, value []byte, flags uint32, deadline, cost int64, prio, class uint64, hasPrio bool) bool {
+// agrees with the delete the shard journals in its place.
+func (st *store) set(key string, value []byte, flags uint32, deadline, cost int64, prio, class uint64, hasPrio bool) bool {
 	loc, charge, ok := st.layout.place(st, key, value, flags, deadline)
 	if !ok {
 		st.delete(key)
@@ -666,22 +661,27 @@ func (st *store) rejected() uint64 {
 	return st.rejectedBase + rej
 }
 
-// restore re-applies one recovered journal op through the configured
-// eviction policy, so CAMP's queues and heap are rebuilt with the costs the
-// original run learned. Sets the policy now refuses (e.g. the server was
-// restarted with less memory) are skipped, mirroring live admission.
-func (st *store) restore(op persist.Op) error {
+// apply applies one op to the store. It is the one mutation entry point
+// for every op, whoever produced it: a client write (shard.write), journal
+// recovery, replication and migration. Sets go through the configured
+// eviction policy, so replay rebuilds CAMP's queues and heap with the costs
+// the original run learned. applied reports whether the op took effect: false
+// for a set the layout or policy refuses (e.g. a restart with less memory;
+// the key is dropped, mirroring live admission) and for a delete or touch of
+// an absent key. The persist decoder rejects unknown kinds, so none reaches
+// here.
+func (st *store) apply(op persist.Op) (applied bool) {
 	switch op.Kind {
-	case persist.KindSet:
-		st.setAbs(op.Key, op.Value, op.Flags, op.Expires, op.Cost)
-	case persist.KindSetPrio:
-		st.setAbsPrio(op.Key, op.Value, op.Flags, op.Expires, op.Cost, op.Priority, op.Class, true)
+	case persist.KindSet, persist.KindSetPrio:
+		return st.set(op.Key, op.Value, op.Flags, op.Expires, op.Cost, op.Priority, op.Class, op.Kind == persist.KindSetPrio)
 	case persist.KindDelete:
-		st.delete(op.Key)
+		return st.delete(op.Key)
 	case persist.KindTouch:
-		if it, ok := st.items[op.Key]; ok {
+		it, ok := st.items[op.Key]
+		if ok {
 			st.touch(it, op.Expires)
 		}
+		return ok
 	case persist.KindFlush:
 		// Keyless flushes clear the whole store (the only form before
 		// multi-tenancy); keyed ones clear one tenant's namespace.
@@ -692,7 +692,7 @@ func (st *store) restore(op persist.Op) error {
 		}
 	case persist.KindPosition:
 		// Replication bookkeeping, not data; the recovery wrapper that
-		// cares about positions tracks them before calling restore.
+		// cares about positions tracks them before calling apply.
 	case persist.KindScale:
 		// The scale only ever widens, so installing one source's scale in
 		// every policy is safe and keeps tenant replay order-independent.
@@ -710,10 +710,8 @@ func (st *store) restore(op persist.Op) error {
 			t.reserve.Store(op.Reserve)
 			st.ensureTenant(op.Key)
 		}
-	default:
-		return fmt.Errorf("kvserver: unknown journal op kind %d", op.Kind)
 	}
-	return nil
+	return true
 }
 
 // collectOps copies every live entry out as a snapshot op, in each policy's
@@ -792,7 +790,7 @@ func (st *store) collectOps() []persist.Op {
 // tenant-filtered FULLSYNC bootstrap ships: the subset's entries and
 // KindTenant records, plus every KindScale record — the adaptive scale only
 // ever widens, so installing the source's scale in all of the follower's
-// policies is safe (mirroring restore's KindScale handling) and keeps the
+// policies is safe (mirroring apply's KindScale handling) and keeps the
 // filter stateless. names must be sorted/deduped (Config validation does).
 func (st *store) collectOpsFiltered(names []string) []persist.Op {
 	ops := st.collectOps()

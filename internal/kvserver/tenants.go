@@ -292,10 +292,7 @@ func (s *Server) ensureTenantDurable(name string) *tenant {
 func (s *Server) journalTenant(t *tenant) {
 	op := persist.Op{Kind: persist.KindTenant, Key: t.name, Reserve: t.reserve.Load()}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.store.ensureTenant(t.name)
-		sh.journalLocked(op)
-		sh.mu.Unlock()
+		sh.write(0, func() persist.Op { return op })
 	}
 }
 
